@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .corpus import CORPUS_VERSION, MEMBERS, iter_corpus, load_member
 from .detect import (
     StructureWitness,
@@ -41,7 +43,6 @@ from .language import (
     transitive_gap_check,
 )
 from .psets import (
-    BOHR_MARGIN,
     Bohr,
     Complement,
     DeltaOf,
@@ -61,64 +62,6 @@ from .psets import (
     parse_spec,
 )
 
-__all__ = [
-    "BOHR_MARGIN",
-    "Bohr",
-    "BudgetError",
-    "CORPUS_VERSION",
-    "Complement",
-    "Configuration",
-    "DEFAULT_BUDGET",
-    "DeltaOf",
-    "DiffSet",
-    "EXPERIMENT_IDS",
-    "Explicit",
-    "ExperimentReport",
-    "FiniteSums",
-    "Intersect",
-    "LanguageProfile",
-    "MEMBERS",
-    "Multiples",
-    "OrbitPoint",
-    "PSetSpec",
-    "PSetView",
-    "SpacelabError",
-    "SpecError",
-    "Squares",
-    "StructureWitness",
-    "Union",
-    "ValidationError",
-    "build_pset",
-    "check_bohr_avoidance",
-    "count_words",
-    "cylinder_distance_exponent",
-    "density_report",
-    "elements",
-    "entropy_profile",
-    "f_statistic",
-    "find_delta_chain",
-    "find_ip_generator",
-    "find_ip_ip_generator",
-    "find_join_gap",
-    "finite_sums",
-    "greedy_point",
-    "intersective_refute",
-    "is_admissible",
-    "iter_corpus",
-    "load_member",
-    "make_point",
-    "max_ones",
-    "member",
-    "named_points",
-    "parse_spec",
-    "periodic_point_check",
-    "proximal_probe",
-    "run_all",
-    "run_experiment",
-    "syndetic_gap",
-    "thick_run",
-    "transitive_gap_check",
-    "verify_witness",
-    "witness_from_json",
-    "zero_point",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, _ModuleType))

@@ -53,9 +53,7 @@ def _load_spec(text: str) -> PSetSpec:
                 obj = json.load(fh)
             except json.JSONDecodeError as err:
                 raise SpecError(f"spec file is not valid JSON: {err}") from None
-    spec = parse_spec(obj)
-    spec.validate()
-    return spec
+    return parse_spec(obj)
 
 
 def _int_list(text: str, what: str) -> list:
@@ -86,26 +84,22 @@ def _resolve_budget(value: Optional[int]) -> int:
     return language.DEFAULT_BUDGET
 
 
-def _emit(args, stdout_text: str, files: dict, params: dict,
-          digests: dict) -> None:
-    if stdout_text:
-        print(stdout_text, end="" if stdout_text.endswith("\n") else "\n")
-    out_dir = getattr(args, "out", None)
-    if out_dir:
-        for name, text in files.items():
-            reports.write_text(os.path.join(out_dir, name), text)
-        manifest = reports.build_manifest(params, digests)
-        reports.write_text(os.path.join(out_dir, "manifest.json"),
-                           reports.json_text(manifest))
-
-
 def _json_out(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _cmd_pset_density(args) -> int:
-    spec = _load_spec(args.spec)
-    view = build_pset(spec, args.horizon)
+def _json_result(payload: dict, name: str, params: dict, view) -> tuple:
+    # the common result: JSON on stdout and the same JSON as one file
+    return (_json_out(payload), {name: reports.json_text(payload)}, params,
+            {"spec": view.spec_digest})
+
+
+# Each handler takes the parsed arguments, with --budget resolved, and the
+# view of --spec (None for commands without one).  It returns
+# (stdout text, {file name: text} for --out, manifest parameters, spec
+# digests); main prints and writes them.
+
+def _cmd_pset_density(args, view) -> tuple:
     grid = _int_list(args.window_grid, "--window-grid")
     report = density_report(view, grid, n0=args.n0)
     payload = reports.density_json(report)
@@ -119,118 +113,75 @@ def _cmd_pset_density(args) -> int:
         ys = [float(d) for _, d in report.prefix_densities]
         files["density.svg"] = reports.svg_line_plot(
             [("prefix", xs, ys)], "prefix density", "n", "density")
-    params = {"command": "pset density", "horizon": args.horizon,
-              "n0": report.n0, "window_grid": grid}
-    _emit(args, _json_out(payload), files, params, {"spec": view.spec_digest})
-    return 0
+    params = {"horizon": view.horizon, "n0": report.n0, "window_grid": grid}
+    return _json_out(payload), files, params, {"spec": view.spec_digest}
 
 
-def _witness_stdout(args, witness, view, kind: str, params: dict) -> int:
-    if witness is None:
-        payload = {"kind": kind, "result": "none", **params}
-        _emit(args, _json_out(payload),
-              {"witness.json": reports.json_text(payload)},
-              {"command": f"detect {args.detect_cmd}", **params},
-              {"spec": view.spec_digest})
-        return 0
-    obj = witness.to_json()
+def _witness_output(args, witness, view, kind: str, params: dict) -> tuple:
+    obj = ({"kind": kind, "result": "none", **params} if witness is None
+           else witness.to_json())
     text = _json_out(obj)
-    if args.verify:
+    if witness is not None and args.verify:
         echoed = detect.witness_from_json(json.loads(text))
         if not detect.verify_witness(echoed, view):
             raise ValidationError("witness failed re-verification")
         text += "\nverified"
-    _emit(args, text, {"witness.json": reports.json_text(obj)},
-          {"command": f"detect {args.detect_cmd}", **params},
-          {"spec": view.spec_digest})
-    return 0
+    return text, {"witness.json": reports.json_text(obj)}
 
 
-def _cmd_detect_search(args) -> int:
-    spec = _load_spec(args.spec)
-    horizon = args.horizon if args.horizon else args.bound
-    view = build_pset(spec, horizon)
-    budget = _resolve_budget(args.budget)
-    finders = {"delta": detect.find_delta_chain,
-               "ip": detect.find_ip_generator,
-               "ipip": detect.find_ip_ip_generator}
-    witness = finders[args.detect_cmd](view, args.depth, args.bound,
-                                       budget=budget)
-    params = {"depth": args.depth, "bound": args.bound, "budget": budget,
-              "horizon": horizon}
-    kinds = {"delta": "delta_chain", "ip": "ip_generator",
-             "ipip": "ip_ip_generator"}
-    return _witness_stdout(args, witness, view, kinds[args.detect_cmd], params)
+def _cmd_detect_search(args, view) -> tuple:
+    finder, kind = {
+        "delta": (detect.find_delta_chain, "delta_chain"),
+        "ip": (detect.find_ip_generator, "ip_generator"),
+        "ipip": (detect.find_ip_ip_generator, "ip_ip_generator"),
+    }[args.detect_cmd]
+    witness = finder(view, args.depth, args.bound, budget=args.budget)
+    params = {"depth": args.depth, "bound": args.bound, "budget": args.budget,
+              "horizon": view.horizon}
+    text, files = _witness_output(args, witness, view, kind, params)
+    return text, files, params, {"spec": view.spec_digest}
 
 
-def _cmd_detect_syndetic(args) -> int:
-    view = build_pset(_load_spec(args.spec), args.horizon)
+def _cmd_detect_syndetic(args, view) -> tuple:
     report = detect.syndetic_gap(view)
     if report is None:
         payload = {"result": "none", "reason": "set empty on horizon"}
     else:
         payload = {"interior_gap": report.interior_gap,
                    "censored_tail": report.censored_tail}
-    _emit(args, _json_out(payload), {"syndetic.json": reports.json_text(payload)},
-          {"command": "detect syndetic", "horizon": args.horizon},
-          {"spec": view.spec_digest})
-    return 0
+    return _json_result(payload, "syndetic.json",
+                        {"horizon": view.horizon}, view)
 
 
-def _cmd_detect_thick(args) -> int:
-    view = build_pset(_load_spec(args.spec), args.horizon)
-    payload = {"run": detect.thick_run(view)}
-    _emit(args, _json_out(payload), {"thick.json": reports.json_text(payload)},
-          {"command": "detect thick", "horizon": args.horizon},
-          {"spec": view.spec_digest})
-    return 0
+def _cmd_detect_thick(args, view) -> tuple:
+    return _json_result({"run": detect.thick_run(view)}, "thick.json",
+                        {"horizon": view.horizon}, view)
 
 
-def _cmd_detect_intersect(args) -> int:
-    e_view = build_pset(_load_spec(args.spec), args.horizon)
-    a_view = build_pset(_load_spec(args.other), args.horizon)
-    witness = detect.intersective_refute(e_view, a_view)
-    if witness is None:
-        payload = {"kind": "intersective_hit", "result": "none",
-                   "horizon": args.horizon}
-        _emit(args, _json_out(payload),
-              {"witness.json": reports.json_text(payload)},
-              {"command": "detect intersect", "horizon": args.horizon},
-              {"spec": e_view.spec_digest, "other": a_view.spec_digest})
-        return 0
-    obj = witness.to_json()
-    text = _json_out(obj)
-    if args.verify:
-        echoed = detect.witness_from_json(json.loads(text))
-        if not detect.verify_witness(echoed, e_view):
-            raise ValidationError("witness failed re-verification")
-        text += "\nverified"
-    _emit(args, text, {"witness.json": reports.json_text(obj)},
-          {"command": "detect intersect", "horizon": args.horizon},
-          {"spec": e_view.spec_digest, "other": a_view.spec_digest})
-    return 0
+def _cmd_detect_intersect(args, view) -> tuple:
+    other = build_pset(_load_spec(args.other), view.horizon)
+    witness = detect.intersective_refute(view, other)
+    params = {"horizon": view.horizon}
+    text, files = _witness_output(args, witness, view, "intersective_hit",
+                                  params)
+    return (text, files, params,
+            {"spec": view.spec_digest, "other": other.spec_digest})
 
 
-def _cmd_lang_count(args) -> int:
-    horizon = args.horizon if args.horizon else max(args.n, 1)
-    view = build_pset(_load_spec(args.spec), horizon)
-    budget = _resolve_budget(args.budget)
-    count = language.count_words(view, args.n, mode=args.mode, budget=budget)
+def _cmd_lang_count(args, view) -> tuple:
+    count = language.count_words(view, args.n, mode=args.mode,
+                                 budget=args.budget)
     payload = {"n": args.n, "mode": args.mode, "count": count}
-    _emit(args, str(count), {"count.json": reports.json_text(payload)},
-          {"command": "lang count", "n": args.n, "mode": args.mode,
-           "horizon": horizon, "budget": budget},
-          {"spec": view.spec_digest})
-    return 0
+    return (str(count), {"count.json": reports.json_text(payload)},
+            {"n": args.n, "mode": args.mode, "horizon": view.horizon,
+             "budget": args.budget},
+            {"spec": view.spec_digest})
 
 
-def _cmd_lang_entropy(args) -> int:
+def _cmd_lang_entropy(args, view) -> tuple:
     grid = _int_list(args.n_grid, "--n-grid")
-    horizon = args.horizon if args.horizon else max(grid)
-    view = build_pset(_load_spec(args.spec), horizon)
-    budget = _resolve_budget(args.budget)
     profile = language.entropy_profile(view, grid, mode=args.mode,
-                                       budget=budget)
+                                       budget=args.budget)
     csv = reports.profile_csv(profile)
     files = {"profile.csv": csv}
     if args.plot and args.out:
@@ -239,42 +190,30 @@ def _cmd_lang_entropy(args) -> int:
             [("h_n", xs, [r.entropy for r in profile.rows]),
              ("omega/n", xs, [float(r.omega_over_n) for r in profile.rows])],
             "entropy profile", "n", "value")
-    _emit(args, csv, files,
-          {"command": "lang entropy", "n_grid": grid, "mode": args.mode,
-           "horizon": horizon, "budget": budget},
-          {"spec": view.spec_digest})
-    return 0
+    return (csv, files,
+            {"n_grid": grid, "mode": args.mode, "horizon": view.horizon,
+             "budget": args.budget},
+            {"spec": view.spec_digest})
 
 
-def _cmd_lang_maxones(args) -> int:
-    horizon = args.horizon if args.horizon else max(args.n, 1)
-    view = build_pset(_load_spec(args.spec), horizon)
-    budget = _resolve_budget(args.budget)
-    omega, config = language.max_ones(view, args.n, budget=budget)
+def _cmd_lang_maxones(args, view) -> tuple:
+    omega, config = language.max_ones(view, args.n, budget=args.budget)
     payload = {"n": args.n, "omega": omega, "ones": list(config.ones),
                "word": config.word()}
-    _emit(args, _json_out(payload), {"maxones.json": reports.json_text(payload)},
-          {"command": "lang maxones", "n": args.n, "horizon": horizon,
-           "budget": budget},
-          {"spec": view.spec_digest})
-    return 0
+    return _json_result(payload, "maxones.json",
+                        {"n": args.n, "horizon": view.horizon,
+                         "budget": args.budget}, view)
 
 
-def _cmd_lang_greedy(args) -> int:
-    view = build_pset(_load_spec(args.spec), args.horizon)
-    config = language.greedy_point(view, args.horizon)
-    payload = {"horizon": args.horizon, "ones": list(config.ones),
+def _cmd_lang_greedy(args, view) -> tuple:
+    config = language.greedy_point(view, view.horizon)
+    payload = {"horizon": view.horizon, "ones": list(config.ones),
                "word": config.word()}
-    _emit(args, _json_out(payload), {"greedy.json": reports.json_text(payload)},
-          {"command": "lang greedy", "horizon": args.horizon},
-          {"spec": view.spec_digest})
-    return 0
+    return _json_result(payload, "greedy.json", {"horizon": view.horizon},
+                        view)
 
 
-def _cmd_lang_transitive(args) -> int:
-    horizon = (args.horizon if args.horizon
-               else 2 * args.word_len + args.gap_cap)
-    view = build_pset(_load_spec(args.spec), horizon)
+def _cmd_lang_transitive(args, view) -> tuple:
     report = language.transitive_gap_check(view, args.word_len, args.gap_cap)
     payload = {"word_len_cap": report.word_len_cap,
                "gap_cap": report.gap_cap,
@@ -282,21 +221,19 @@ def _cmd_lang_transitive(args) -> int:
                "joinable_pairs": report.joinable_pairs,
                "least_failing": (list(report.least_failing)
                                  if report.least_failing else None)}
-    _emit(args, _json_out(payload),
-          {"transitive.json": reports.json_text(payload)},
-          {"command": "lang transitive", "word_len": args.word_len,
-           "gap_cap": args.gap_cap, "horizon": horizon},
-          {"spec": view.spec_digest})
-    return 0
+    return _json_result(payload, "transitive.json",
+                        {"word_len": args.word_len, "gap_cap": args.gap_cap,
+                         "horizon": view.horizon}, view)
 
 
-def _cmd_dyn_fstat(args) -> int:
-    view = build_pset(_load_spec(args.spec), args.horizon)
-    budget = _resolve_budget(args.budget)
-    x = dynamics.make_point(view, args.x, args.horizon, seed=args.seed,
-                            budget=budget)
-    y = dynamics.make_point(view, args.y, args.horizon, seed=args.seed,
-                            budget=budget)
+def _points(args, view) -> tuple:
+    return tuple(dynamics.make_point(view, name, view.horizon,
+                                     seed=args.seed, budget=args.budget)
+                 for name in (args.x, args.y))
+
+
+def _cmd_dyn_fstat(args, view) -> tuple:
+    x, y = _points(args, view)
     grid = _int_list(args.n_grid, "--n-grid")
     report = dynamics.f_statistic(x, y, args.l, grid)
     csv = reports.fstat_csv(report)
@@ -306,45 +243,32 @@ def _cmd_dyn_fstat(args) -> int:
         files["fstat.svg"] = reports.svg_line_plot(
             [("F_n", xs, [float(f) for _, f in report.values])],
             "F statistic", "n", "F_n")
-    _emit(args, csv, files,
-          {"command": "dyn fstat", "l": args.l, "n_grid": grid,
-           "x": args.x, "y": args.y, "horizon": args.horizon,
-           "budget": budget},
-          {"spec": view.spec_digest})
-    return 0
+    return (csv, files,
+            {"l": args.l, "n_grid": grid, "x": args.x, "y": args.y,
+             "horizon": view.horizon, "budget": args.budget},
+            {"spec": view.spec_digest})
 
 
-def _cmd_dyn_proximal(args) -> int:
-    view = build_pset(_load_spec(args.spec), args.horizon)
-    budget = _resolve_budget(args.budget)
-    x = dynamics.make_point(view, args.x, args.horizon, seed=args.seed,
-                            budget=budget)
-    y = dynamics.make_point(view, args.y, args.horizon, seed=args.seed,
-                            budget=budget)
+def _cmd_dyn_proximal(args, view) -> tuple:
+    x, y = _points(args, view)
     m = dynamics.proximal_probe(x, y, args.block)
     payload = {"block": args.block, "m": m, "x": x.label, "y": y.label}
-    _emit(args, _json_out(payload),
-          {"proximal.json": reports.json_text(payload)},
-          {"command": "dyn proximal", "block": args.block, "x": args.x,
-           "y": args.y, "horizon": args.horizon, "budget": budget},
-          {"spec": view.spec_digest})
-    return 0
+    return _json_result(payload, "proximal.json",
+                        {"block": args.block, "x": args.x, "y": args.y,
+                         "horizon": view.horizon, "budget": args.budget},
+                        view)
 
 
-def _cmd_dyn_periodic(args) -> int:
-    view = build_pset(_load_spec(args.spec), args.horizon)
-    result = dynamics.periodic_point_check(view, args.k, args.horizon)
+def _cmd_dyn_periodic(args, view) -> tuple:
+    result = dynamics.periodic_point_check(view, args.k, view.horizon)
     if result.point is None:
         payload = {"k": args.k, "point": None,
                    "failing_multiple": result.failing_multiple}
     else:
         payload = {"k": args.k, "point": result.point.config.word(),
                    "admissible": result.point.admissible}
-    _emit(args, _json_out(payload),
-          {"periodic.json": reports.json_text(payload)},
-          {"command": "dyn periodic", "k": args.k, "horizon": args.horizon},
-          {"spec": view.spec_digest})
-    return 0
+    return _json_result(payload, "periodic.json",
+                        {"k": args.k, "horizon": view.horizon}, view)
 
 
 def _experiment_files(report, plot: bool) -> dict:
@@ -374,191 +298,170 @@ def _parse_param(text: str):
     return key, value
 
 
-def _cmd_exp_run(args) -> int:
-    budget = _resolve_budget(args.budget)
+def _cmd_exp_run(args, view) -> tuple:
     overrides = dict(_parse_param(p) for p in args.param or [])
     report = experiments.run_experiment(args.experiment_id,
-                                        overrides or None, budget=budget)
-    files = _experiment_files(report, args.plot)
-    _emit(args, _json_out(report.to_json()), files,
-          {"command": "exp run", "experiment": args.experiment_id,
-           "budget": budget, "overrides": overrides},
-          {})
-    return 0
+                                        overrides or None, budget=args.budget)
+    return (_json_out(report.to_json()), _experiment_files(report, args.plot),
+            {"experiment": args.experiment_id, "budget": args.budget,
+             "overrides": overrides},
+            {})
 
 
-def _cmd_corpus_run_all(args) -> int:
-    budget = _resolve_budget(args.budget)
-    all_reports = experiments.run_all(budget=budget)
+def _cmd_corpus_run_all(args, view) -> tuple:
     files = {}
     verdicts = {}
-    for report in all_reports:
+    for report in experiments.run_all(budget=args.budget):
         files.update(_experiment_files(report, args.plot))
         verdicts[report.experiment] = report.verdict
     index = {"corpus_version": corpus_mod.CORPUS_VERSION,
              "verdicts": verdicts}
     files["index.json"] = reports.json_text(index)
     digests = {name: spec.digest() for name, spec in corpus_mod.iter_corpus()}
-    _emit(args, _json_out(index), files,
-          {"command": "corpus run-all", "budget": budget,
-           "experiments": list(experiments.EXPERIMENT_IDS)},
-          digests)
-    return 0
+    return (_json_out(index), files,
+            {"budget": args.budget,
+             "experiments": list(experiments.EXPERIMENT_IDS)},
+            digests)
 
 
-def _add_out(parser, plot: bool = False) -> None:
-    parser.add_argument("--out", help="directory for output files")
-    if plot:
-        parser.add_argument("--plot", action="store_true",
-                            help="also write SVG plots (requires --out)")
+# Options as (flag, add_argument keywords); the order within a command is
+# the order of its help text and of its "required" error message.
+_SPEC = ("--spec", {"required": True,
+                    "help": "path to a spec JSON file, or inline JSON"})
+_HORIZON = ("--horizon", {"type": int, "required": True})
+_OPT_HORIZON = ("--horizon", {"type": int, "default": None})
+_BUDGET = ("--budget", {"type": int, "default": None})
+_OUT = ("--out", {"help": "directory for output files"})
+_PLOT = ("--plot", {"action": "store_true",
+                    "help": "also write SVG plots (requires --out)"})
+_MODE = ("--mode", {"choices": ("naive", "optimized"),
+                    "default": "optimized"})
+_SEARCH = (_SPEC, ("--depth", {"type": int, "required": True}),
+           ("--bound", {"type": int, "required": True}),
+           ("--horizon", {"type": int, "default": None,
+                          "help": "view horizon; defaults to the bound"}),
+           _BUDGET,
+           ("--verify", {"action": "store_true",
+                         "help": "re-check the emitted witness"}),
+           _OUT)
 
 
-def _add_spec(parser) -> None:
-    parser.add_argument("--spec", required=True,
-                        help="path to a spec JSON file, or inline JSON")
+def _grid_horizon(args) -> int:
+    return max(_int_list(args.n_grid, "--n-grid"))
+
+
+# group -> (help, [(command, add_parser keywords, handler, default horizon
+# as a function of the arguments or None, options)])
+_COMMANDS = {
+    "pset": ("set construction and densities", [
+        ("density", {"help": "exact density report"}, _cmd_pset_density,
+         None,
+         (_SPEC, _HORIZON,
+          ("--n0", {"type": int, "default": None,
+                    "help": "tail cutoff for lower/upper estimates"}),
+          ("--window-grid", {"required": True,
+                             "help": "comma-separated window lengths"}),
+          _OUT, _PLOT)),
+    ]),
+    "detect": ("structure witness searches", [
+        ("delta", {"help": "difference chain"}, _cmd_detect_search,
+         lambda a: a.bound, _SEARCH),
+        ("ip", {"help": "IP generator"}, _cmd_detect_search,
+         lambda a: a.bound, _SEARCH),
+        ("ipip", {"help": "IP-IP generator"}, _cmd_detect_search,
+         lambda a: a.bound, _SEARCH),
+        ("syndetic", {}, _cmd_detect_syndetic, None,
+         (_SPEC, _HORIZON, _OUT)),
+        ("thick", {}, _cmd_detect_thick, None, (_SPEC, _HORIZON, _OUT)),
+        ("intersect", {"help": "E vs A-A hit search"}, _cmd_detect_intersect,
+         None,
+         (_SPEC,
+          ("--other", {"required": True,
+                       "help": "spec for the set A (path or inline JSON)"}),
+          _HORIZON, ("--verify", {"action": "store_true"}), _OUT)),
+    ]),
+    "lang": ("language enumeration", [
+        ("count", {"help": "exact word count"}, _cmd_lang_count,
+         lambda a: max(a.n, 1),
+         (_SPEC, ("--n", {"type": int, "required": True}), _MODE,
+          _OPT_HORIZON, _BUDGET, _OUT)),
+        ("entropy", {"help": "entropy profile CSV"}, _cmd_lang_entropy,
+         _grid_horizon,
+         (_SPEC, ("--n-grid", {"required": True}), _MODE, _OPT_HORIZON,
+          _BUDGET, _OUT, _PLOT)),
+        ("maxones", {"help": "max ones and witness"}, _cmd_lang_maxones,
+         lambda a: max(a.n, 1),
+         (_SPEC, ("--n", {"type": int, "required": True}), _OPT_HORIZON,
+          _BUDGET, _OUT)),
+        ("greedy", {"help": "greedy point"}, _cmd_lang_greedy, None,
+         (_SPEC, _HORIZON, _OUT)),
+        ("transitive", {"help": "zero-gap joinability"},
+         _cmd_lang_transitive, lambda a: 2 * a.word_len + a.gap_cap,
+         (_SPEC, ("--word-len", {"type": int, "required": True}),
+          ("--gap-cap", {"type": int, "required": True}), _OPT_HORIZON,
+          _OUT)),
+    ]),
+    "dyn": ("orbit probes", [
+        ("fstat", {"help": "agreement statistic"}, _cmd_dyn_fstat, None,
+         (_SPEC, _HORIZON,
+          ("--x", {"required": True, "help": "point generator name"}),
+          ("--y", {"required": True, "help": "point generator name"}),
+          ("--l", {"type": int, "default": 0}),
+          ("--n-grid", {"required": True}),
+          ("--seed", {"type": int, "default": None}), _BUDGET, _OUT,
+          _PLOT)),
+        ("proximal", {"help": "agreement window probe"}, _cmd_dyn_proximal,
+         None,
+         (_SPEC, _HORIZON, ("--x", {"required": True}),
+          ("--y", {"required": True}),
+          ("--block", {"type": int, "required": True}),
+          ("--seed", {"type": int, "default": None}), _BUDGET, _OUT)),
+        ("periodic", {"help": "period-k point check"}, _cmd_dyn_periodic,
+         None,
+         (_SPEC, ("--k", {"type": int, "required": True}), _HORIZON,
+          _OUT)),
+    ]),
+    "exp": ("named experiments", [
+        ("run", {"help": "run one experiment"}, _cmd_exp_run, None,
+         (("experiment_id",
+           {"choices": sorted(experiments.EXPERIMENT_IDS)}),
+          _BUDGET,
+          ("--param", {"action": "append",
+                       "help": "override one parameter, KEY=VALUE "
+                               "(JSON value)"}),
+          _OUT, _PLOT)),
+    ]),
+    "corpus": ("shipped corpus operations", [
+        ("run-all", {"help": "run every experiment on the corpus"},
+         _cmd_corpus_run_all, None,
+         (("--out", {"required": True, "help": "report directory"}),
+          ("--plot", {"action": "store_true"}), _BUDGET)),
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spacelab",
                      description="spacing shift laboratory")
     top = parser.add_subparsers(dest="group", required=True)
-
-    pset = top.add_parser("pset", help="set construction and densities")
-    pset_sub = pset.add_subparsers(dest="pset_cmd", required=True)
-    dens = pset_sub.add_parser("density", help="exact density report")
-    _add_spec(dens)
-    dens.add_argument("--horizon", type=int, required=True)
-    dens.add_argument("--n0", type=int, default=None,
-                      help="tail cutoff for lower/upper estimates")
-    dens.add_argument("--window-grid", required=True,
-                      help="comma-separated window lengths")
-    _add_out(dens, plot=True)
-    dens.set_defaults(func=_cmd_pset_density)
-
-    det = top.add_parser("detect", help="structure witness searches")
-    det_sub = det.add_subparsers(dest="detect_cmd", required=True)
-    for name, help_text in (("delta", "difference chain"),
-                            ("ip", "IP generator"),
-                            ("ipip", "IP-IP generator")):
-        sub = det_sub.add_parser(name, help=help_text)
-        _add_spec(sub)
-        sub.add_argument("--depth", type=int, required=True)
-        sub.add_argument("--bound", type=int, required=True)
-        sub.add_argument("--horizon", type=int, default=None,
-                         help="view horizon; defaults to the bound")
-        sub.add_argument("--budget", type=int, default=None)
-        sub.add_argument("--verify", action="store_true",
-                         help="re-check the emitted witness")
-        _add_out(sub)
-        sub.set_defaults(func=_cmd_detect_search)
-    for name, func in (("syndetic", _cmd_detect_syndetic),
-                       ("thick", _cmd_detect_thick)):
-        sub = det_sub.add_parser(name)
-        _add_spec(sub)
-        sub.add_argument("--horizon", type=int, required=True)
-        _add_out(sub)
-        sub.set_defaults(func=func)
-    inter = det_sub.add_parser("intersect", help="E vs A-A hit search")
-    _add_spec(inter)
-    inter.add_argument("--other", required=True,
-                       help="spec for the set A (path or inline JSON)")
-    inter.add_argument("--horizon", type=int, required=True)
-    inter.add_argument("--verify", action="store_true")
-    _add_out(inter)
-    inter.set_defaults(func=_cmd_detect_intersect)
-
-    lang = top.add_parser("lang", help="language enumeration")
-    lang_sub = lang.add_subparsers(dest="lang_cmd", required=True)
-    count = lang_sub.add_parser("count", help="exact word count")
-    _add_spec(count)
-    count.add_argument("--n", type=int, required=True)
-    count.add_argument("--mode", choices=("naive", "optimized"),
-                       default="optimized")
-    count.add_argument("--horizon", type=int, default=None)
-    count.add_argument("--budget", type=int, default=None)
-    _add_out(count)
-    count.set_defaults(func=_cmd_lang_count)
-    entropy = lang_sub.add_parser("entropy", help="entropy profile CSV")
-    _add_spec(entropy)
-    entropy.add_argument("--n-grid", required=True)
-    entropy.add_argument("--mode", choices=("naive", "optimized"),
-                         default="optimized")
-    entropy.add_argument("--horizon", type=int, default=None)
-    entropy.add_argument("--budget", type=int, default=None)
-    _add_out(entropy, plot=True)
-    entropy.set_defaults(func=_cmd_lang_entropy)
-    maxones = lang_sub.add_parser("maxones", help="max ones and witness")
-    _add_spec(maxones)
-    maxones.add_argument("--n", type=int, required=True)
-    maxones.add_argument("--horizon", type=int, default=None)
-    maxones.add_argument("--budget", type=int, default=None)
-    _add_out(maxones)
-    maxones.set_defaults(func=_cmd_lang_maxones)
-    greedy = lang_sub.add_parser("greedy", help="greedy point")
-    _add_spec(greedy)
-    greedy.add_argument("--horizon", type=int, required=True)
-    _add_out(greedy)
-    greedy.set_defaults(func=_cmd_lang_greedy)
-    trans = lang_sub.add_parser("transitive", help="zero-gap joinability")
-    _add_spec(trans)
-    trans.add_argument("--word-len", type=int, required=True)
-    trans.add_argument("--gap-cap", type=int, required=True)
-    trans.add_argument("--horizon", type=int, default=None)
-    _add_out(trans)
-    trans.set_defaults(func=_cmd_lang_transitive)
-
-    dyn = top.add_parser("dyn", help="orbit probes")
-    dyn_sub = dyn.add_subparsers(dest="dyn_cmd", required=True)
-    fstat = dyn_sub.add_parser("fstat", help="agreement statistic")
-    _add_spec(fstat)
-    fstat.add_argument("--horizon", type=int, required=True)
-    fstat.add_argument("--x", required=True, help="point generator name")
-    fstat.add_argument("--y", required=True, help="point generator name")
-    fstat.add_argument("--l", type=int, default=0)
-    fstat.add_argument("--n-grid", required=True)
-    fstat.add_argument("--seed", type=int, default=None)
-    fstat.add_argument("--budget", type=int, default=None)
-    _add_out(fstat, plot=True)
-    fstat.set_defaults(func=_cmd_dyn_fstat)
-    prox = dyn_sub.add_parser("proximal", help="agreement window probe")
-    _add_spec(prox)
-    prox.add_argument("--horizon", type=int, required=True)
-    prox.add_argument("--x", required=True)
-    prox.add_argument("--y", required=True)
-    prox.add_argument("--block", type=int, required=True)
-    prox.add_argument("--seed", type=int, default=None)
-    prox.add_argument("--budget", type=int, default=None)
-    _add_out(prox)
-    prox.set_defaults(func=_cmd_dyn_proximal)
-    peri = dyn_sub.add_parser("periodic", help="period-k point check")
-    _add_spec(peri)
-    peri.add_argument("--k", type=int, required=True)
-    peri.add_argument("--horizon", type=int, required=True)
-    _add_out(peri)
-    peri.set_defaults(func=_cmd_dyn_periodic)
-
-    exp = top.add_parser("exp", help="named experiments")
-    exp_sub = exp.add_subparsers(dest="exp_cmd", required=True)
-    run = exp_sub.add_parser("run", help="run one experiment")
-    run.add_argument("experiment_id",
-                     choices=sorted(experiments.EXPERIMENT_IDS))
-    run.add_argument("--budget", type=int, default=None)
-    run.add_argument("--param", action="append",
-                     help="override one parameter, KEY=VALUE (JSON value)")
-    _add_out(run, plot=True)
-    run.set_defaults(func=_cmd_exp_run)
-
-    corp = top.add_parser("corpus", help="shipped corpus operations")
-    corp_sub = corp.add_subparsers(dest="corpus_cmd", required=True)
-    run_all = corp_sub.add_parser("run-all",
-                                  help="run every experiment on the corpus")
-    run_all.add_argument("--out", required=True,
-                         help="report directory")
-    run_all.add_argument("--plot", action="store_true")
-    run_all.add_argument("--budget", type=int, default=None)
-    run_all.set_defaults(func=_cmd_corpus_run_all)
-
+    for group, (help_text, commands) in _COMMANDS.items():
+        sub = top.add_parser(group, help=help_text).add_subparsers(
+            dest=f"{group}_cmd", required=True)
+        for name, keywords, func, default_horizon, options in commands:
+            cmd = sub.add_parser(name, **keywords)
+            for flag, option in options:
+                cmd.add_argument(flag, **option)
+            cmd.set_defaults(func=func, command=f"{group} {name}",
+                             default_horizon=default_horizon)
     return parser
+
+
+def _view(args):
+    # the default horizon is worked out even when --horizon is given, so
+    # that a bad --n-grid is reported before a bad spec
+    default = args.default_horizon(args) if args.default_horizon else None
+    horizon = default if args.horizon is None else args.horizon
+    return build_pset(_load_spec(args.spec), horizon)
 
 
 def main(argv=None) -> int:
@@ -568,7 +471,10 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return int(err.code or 0)
     try:
-        return args.func(args)
+        view = _view(args) if hasattr(args, "spec") else None
+        if hasattr(args, "budget"):
+            args.budget = _resolve_budget(args.budget)
+        text, files, params, digests = args.func(args, view)
     except BudgetError as err:
         _print_error("budget", str(err), nodes=err.nodes)
         return 3
@@ -581,6 +487,15 @@ def main(argv=None) -> int:
     except SpacelabError as err:
         _print_error("error", str(err))
         return 2
+    print(text, end="" if text.endswith("\n") else "\n")
+    if args.out:
+        for name, data in files.items():
+            reports.write_text(os.path.join(args.out, name), data)
+        manifest = reports.build_manifest({"command": args.command, **params},
+                                          digests)
+        reports.write_text(os.path.join(args.out, "manifest.json"),
+                           reports.json_text(manifest))
+    return 0
 
 
 if __name__ == "__main__":

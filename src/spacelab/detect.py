@@ -13,7 +13,7 @@ Searches carry an explicit node budget; running out raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Optional, Sequence, Tuple
 
@@ -105,6 +105,12 @@ def verify_witness(witness: StructureWitness, view: PSetView) -> bool:
     raise ValidationError(f"unknown witness kind {kind!r}")
 
 
+def _certified(view: PSetView, **fields) -> StructureWitness:
+    # verified is set from an independent re-check of the finished witness
+    witness = StructureWitness(verified=False, **fields)
+    return replace(witness, verified=verify_witness(witness, view))
+
+
 def find_delta_chain(view: PSetView, depth: int, search_bound: int,
                      budget: int = DEFAULT_BUDGET) -> Optional[StructureWitness]:
     """Lexicographically least s_1 < ... < s_depth with all differences in P.
@@ -138,11 +144,8 @@ def find_delta_chain(view: PSetView, depth: int, search_bound: int,
 
     if not rec():
         return None
-    witness = StructureWitness(kind="delta_chain", payload=tuple(chain),
-                               verified=False, depth=depth, bound=search_bound)
-    ok = verify_witness(witness, view)
-    return StructureWitness(kind="delta_chain", payload=tuple(chain),
-                            verified=ok, depth=depth, bound=search_bound)
+    return _certified(view, kind="delta_chain", payload=tuple(chain),
+                      depth=depth, bound=search_bound)
 
 
 def _check_bound(view: PSetView, search_bound: int) -> None:
@@ -219,11 +222,8 @@ def find_ip_generator(view: PSetView, depth: int, search_bound: int,
     found = _find_generator(view, depth, search_bound, budget, _extend_ip)
     if found is None:
         return None
-    witness = StructureWitness(kind="ip_generator", payload=found,
-                               verified=False, depth=depth, bound=search_bound)
-    ok = verify_witness(witness, view)
-    return StructureWitness(kind="ip_generator", payload=found, verified=ok,
-                            depth=depth, bound=search_bound)
+    return _certified(view, kind="ip_generator", payload=found, depth=depth,
+                      bound=search_bound)
 
 
 def find_ip_ip_generator(view: PSetView, depth: int, search_bound: int,
@@ -240,11 +240,8 @@ def find_ip_ip_generator(view: PSetView, depth: int, search_bound: int,
     found = _find_generator(view, depth, search_bound, budget, _extend_ip_ip)
     if found is None:
         return None
-    witness = StructureWitness(kind="ip_ip_generator", payload=found,
-                               verified=False, depth=depth, bound=search_bound)
-    ok = verify_witness(witness, view)
-    return StructureWitness(kind="ip_ip_generator", payload=found, verified=ok,
-                            depth=depth, bound=search_bound)
+    return _certified(view, kind="ip_ip_generator", payload=found,
+                      depth=depth, bound=search_bound)
 
 
 @dataclass(frozen=True)
@@ -323,12 +320,11 @@ def intersective_refute(e_view: PSetView,
         if a + e <= horizon and (a_view.bits >> (a + e - 1)) & 1:
             pair = (a, a + e)
             break
-    witness = StructureWitness(kind="intersective_hit", payload=e,
-                               verified=False, bound=horizon, pair=pair)
-    ok = verify_witness(witness, e_view) and pair is not None \
-        and member(a_view, pair[0]) and member(a_view, pair[1])
-    return StructureWitness(kind="intersective_hit", payload=e, verified=ok,
-                            bound=horizon, pair=pair)
+    witness = _certified(e_view, kind="intersective_hit", payload=e,
+                         bound=horizon, pair=pair)
+    in_a = pair is not None and member(a_view, pair[0]) \
+        and member(a_view, pair[1])
+    return replace(witness, verified=witness.verified and in_a)
 
 
 @dataclass(frozen=True)

@@ -77,12 +77,13 @@ def _finish(exp_id: str, params: dict, observations: dict, checks: list,
                             notes=tuple(notes))
 
 
-def _trend_down(ns: list, values: list) -> bool:
-    if float(values[-1]) > float(values[0]) / 2:
+def _trend_down(ns: list, counts: list) -> bool:
+    # the trend rule on h_n = log2(c_n) / n, decided on integers:
+    # log2(a) / m <= log2(b) / k  iff  a^k <= b^m
+    if counts[-1] ** (2 * ns[0]) > counts[0] ** ns[-1]:
         return False
-    for i in range(len(values) - 1):
-        slack = math.log2(ns[i] + 1) / ns[i]
-        if float(values[i + 1]) > float(values[i]) + slack:
+    for i in range(len(counts) - 1):
+        if counts[i + 1] ** ns[i] > (counts[i] * (ns[i] + 1)) ** ns[i + 1]:
             return False
     return True
 
@@ -134,16 +135,16 @@ def _exp_zero_density_zero_entropy(params: dict, budget: int) -> ExperimentRepor
     notes = []
     for k in params["k_grid"]:
         view = build_pset(_co_multiples(k), horizon)
-        hs = []
+        counts = []
         for n in n_grid:
             c = count_words(view, n, budget=budget)
             h = math.log2(c) / n
-            hs.append(h)
+            counts.append(c)
             rows.append([k, n, c, f"{h:.17g}"])
             checks.append((f"k={k}: c({n}) polynomially bounded",
                            c <= _binom_tail(n, k)))
         checks.append((f"k={k}: h_n trends to zero",
-                       _trend_down(n_grid, hs)))
+                       _trend_down(n_grid, counts)))
     observations = {
         "table": {"columns": ["k", "n", "c_n", "h_n"], "rows": rows},
     }
@@ -283,26 +284,28 @@ def _exp_squares_zero_entropy(params: dict, budget: int) -> ExperimentReport:
     checks = []
     rows = []
     notes = []
-    hs = []
+    counts = []
     omegas = []
     for n in n_grid:
         c = count_words(lang_view, n, budget=budget)
         omega, _ = max_ones(lang_view, n, budget=budget)
-        hs.append(math.log2(c) / n)
+        counts.append(c)
         omegas.append(Fraction(omega, n))
-        rows.append([n, c, f"{hs[-1]:.17g}", omega])
+        rows.append([n, c, f"{math.log2(c) / n:.17g}", omega])
+    # h_last < h_first, exactly: c_last^n_first < c_first^n_last
     checks.append(("h_n strictly decreases across the grid",
-                   hs[-1] < hs[0]))
+                   counts[-1] ** n_grid[0] < counts[0] ** n_grid[-1]))
     checks.append(("omega/n strictly decreases across the grid",
                    omegas[-1] < omegas[0]))
 
     search_view = build_pset(Squares(), params["search_bound"])
-    chain = find_delta_chain(search_view, params["chain_depth"],
-                             params["chain_bound"], budget=budget)
-    checks.append(("depth-3 chain with square differences found",
+    depth = params["chain_depth"]
+    chain = find_delta_chain(search_view, depth, params["chain_bound"],
+                             budget=budget)
+    checks.append((f"depth-{depth} chain with square differences found",
                    chain is not None and chain.verified))
     if chain is not None:
-        notes.append(f"depth-3 chain: {list(chain.payload)}")
+        notes.append(f"depth-{depth} chain: {list(chain.payload)}")
     try:
         deep = find_delta_chain(search_view, params["deep_depth"],
                                 params["search_bound"],

@@ -22,10 +22,6 @@ from typing import Optional, Sequence
 
 from .errors import SpecError, ValidationError
 
-# Bohr membership uses open intervals; shrinking both endpoints by this
-# margin keeps double-precision rounding from flipping membership.
-BOHR_MARGIN = 1e-9
-
 
 def _child(path: str, key: object) -> str:
     return f"{path}/{key}" if path else str(key)
@@ -51,6 +47,14 @@ def _check_increasing(values: object, path: str, min_len: int) -> None:
             raise SpecError("elements must be >= 1 and strictly increasing",
                             _child(path, i))
         prev = v
+
+
+def _tuple(value: object) -> object:
+    # JSON scalars, strings and objects stay as given, so that validate
+    # can name them instead of tuple() failing or splitting them
+    if isinstance(value, (str, dict)) or not hasattr(value, "__iter__"):
+        return value
+    return tuple(value)
 
 
 def _mask_from(values, horizon: int) -> int:
@@ -94,7 +98,7 @@ class Explicit(PSetSpec):
     kind = "explicit"
 
     def __post_init__(self):
-        object.__setattr__(self, "elems", tuple(self.elems))
+        object.__setattr__(self, "elems", _tuple(self.elems))
 
     def validate(self, path: str = "") -> None:
         _check_increasing(self.elems, _child(path, "elems"), min_len=0)
@@ -158,7 +162,7 @@ class FiniteSums(PSetSpec):
     kind = "fs"
 
     def __post_init__(self):
-        object.__setattr__(self, "gens", tuple(self.gens))
+        object.__setattr__(self, "gens", _tuple(self.gens))
 
     def validate(self, path: str = "") -> None:
         _check_increasing(self.gens, _child(path, "gens"), min_len=1)
@@ -191,7 +195,7 @@ class DeltaOf(PSetSpec):
     kind = "delta"
 
     def __post_init__(self):
-        object.__setattr__(self, "seq", tuple(self.seq))
+        object.__setattr__(self, "seq", _tuple(self.seq))
 
     def validate(self, path: str = "") -> None:
         _check_increasing(self.seq, _child(path, "seq"), min_len=1)
@@ -212,7 +216,7 @@ class DiffSet(PSetSpec):
     kind = "diffset"
 
     def __post_init__(self):
-        object.__setattr__(self, "base", tuple(self.base))
+        object.__setattr__(self, "base", _tuple(self.base))
 
     def validate(self, path: str = "") -> None:
         _check_increasing(self.base, _child(path, "set"), min_len=1)
@@ -226,12 +230,11 @@ class DiffSet(PSetSpec):
 
 @dataclass(frozen=True)
 class Bohr(PSetSpec):
-    """{n : frac(n * alpha) in (lo, hi)} with a rounding guard.
+    """{n : frac(n * alpha) in (lo, hi)}, decided exactly.
 
-    Membership is decided in double precision with both endpoints pulled
-    in by ``BOHR_MARGIN``; the underlying interval is open, so the
-    conservative shrink only ever drops near-boundary points and keeps
-    the materialized set stable across platforms.
+    alpha and both endpoints are read as the decimal rationals that their
+    JSON text denotes, so membership involves no floating-point rounding
+    and the materialized set is the same on every platform.
     """
 
     alpha: float
@@ -240,7 +243,7 @@ class Bohr(PSetSpec):
     kind = "bohr"
 
     def __post_init__(self):
-        object.__setattr__(self, "interval", tuple(self.interval))
+        object.__setattr__(self, "interval", _tuple(self.interval))
 
     def validate(self, path: str = "") -> None:
         if not isinstance(self.alpha, (int, float)) or isinstance(self.alpha, bool):
@@ -249,7 +252,7 @@ class Bohr(PSetSpec):
             raise SpecError("alpha must lie strictly between 0 and 1",
                             _child(path, "alpha"))
         iv = self.interval
-        if len(iv) != 2 or not all(
+        if not isinstance(iv, tuple) or len(iv) != 2 or not all(
                 isinstance(x, (int, float)) and not isinstance(x, bool) for x in iv):
             raise SpecError("interval must be a pair of numbers",
                             _child(path, "interval"))
@@ -263,12 +266,21 @@ class Bohr(PSetSpec):
                 "interval": [float(self.interval[0]), float(self.interval[1])]}
 
     def _bits(self, horizon: int) -> int:
-        alpha = float(self.alpha)
-        lo = float(self.interval[0]) + BOHR_MARGIN
-        hi = float(self.interval[1]) - BOHR_MARGIN
+        # each number is the decimal rational that its JSON text denotes
+        alpha, lo, hi = (Fraction(repr(float(x)))
+                         for x in (self.alpha, *self.interval))
+        p, q = alpha.numerator, alpha.denominator
+        # frac(n * alpha) = r / q with r = n * p mod q; lo < r / q < hi
+        # is decided by cross-multiplying
+        lo_num, lo_den = lo.numerator * q, lo.denominator
+        hi_num, hi_den = hi.numerator * q, hi.denominator
         mask = 0
+        r = 0
         for n in range(1, horizon + 1):
-            if lo < (n * alpha) % 1.0 < hi:
+            r += p
+            if r >= q:
+                r -= q
+            if lo_num < r * lo_den and r * hi_den < hi_num:
                 mask |= 1 << (n - 1)
         return mask
 
@@ -351,6 +363,22 @@ def _expect_keys(obj: dict, path: str, keys: set) -> None:
         raise SpecError(f"missing keys {missing}", path)
 
 
+# wire tag -> (class, {wire key: constructor keyword}); the key "of"
+# holds one child spec for the keyword "of" and a list for "parts"
+_KINDS = {
+    "explicit": (Explicit, {"elems": "elems"}),
+    "multiples": (Multiples, {"k": "k"}),
+    "squares": (Squares, {}),
+    "fs": (FiniteSums, {"gens": "gens"}),
+    "delta": (DeltaOf, {"seq": "seq"}),
+    "diffset": (DiffSet, {"set": "base"}),
+    "bohr": (Bohr, {"alpha": "alpha", "interval": "interval"}),
+    "complement": (Complement, {"of": "of"}),
+    "union": (Union, {"of": "parts"}),
+    "intersect": (Intersect, {"of": "parts"}),
+}
+
+
 def parse_spec(obj: object, path: str = "") -> PSetSpec:
     """Parse the tagged JSON wire format into a description tree.
 
@@ -364,56 +392,32 @@ def parse_spec(obj: object, path: str = "") -> PSetSpec:
     Returns
     -------
     PSetSpec
-        The parsed tree.  Structural problems raise :class:`SpecError`
-        naming the offending node; an unknown tag is a hard error.
+        The parsed and validated tree.  Structural problems raise
+        :class:`SpecError` naming the offending node; an unknown tag is a
+        hard error.
     """
     if not isinstance(obj, dict):
         raise SpecError("spec node must be a JSON object", path)
     if "type" not in obj:
         raise SpecError("missing 'type' tag", path)
     tag = obj["type"]
-
-    if tag == "explicit":
-        _expect_keys(obj, path, {"elems"})
-        _check_increasing(obj["elems"], _child(path, "elems"), min_len=0)
-        return Explicit(tuple(obj["elems"]))
-    if tag == "multiples":
-        _expect_keys(obj, path, {"k"})
-        _check_int(obj["k"], _child(path, "k"))
-        return Multiples(obj["k"])
-    if tag == "squares":
-        _expect_keys(obj, path, set())
-        return Squares()
-    if tag == "fs":
-        _expect_keys(obj, path, {"gens"})
-        _check_increasing(obj["gens"], _child(path, "gens"), min_len=1)
-        return FiniteSums(tuple(obj["gens"]))
-    if tag == "delta":
-        _expect_keys(obj, path, {"seq"})
-        _check_increasing(obj["seq"], _child(path, "seq"), min_len=1)
-        return DeltaOf(tuple(obj["seq"]))
-    if tag == "diffset":
-        _expect_keys(obj, path, {"set"})
-        _check_increasing(obj["set"], _child(path, "set"), min_len=1)
-        return DiffSet(tuple(obj["set"]))
-    if tag == "bohr":
-        _expect_keys(obj, path, {"alpha", "interval"})
-        spec = Bohr(obj["alpha"], tuple(obj["interval"])
-                    if isinstance(obj["interval"], (list, tuple)) else (obj["interval"],))
-        spec.validate(path)
-        return spec
-    if tag == "complement":
-        _expect_keys(obj, path, {"of"})
-        return Complement(parse_spec(obj["of"], _child(path, "of")))
-    if tag in ("union", "intersect"):
-        _expect_keys(obj, path, {"of"})
-        parts_obj = obj["of"]
-        if not isinstance(parts_obj, list) or not parts_obj:
-            raise SpecError("'of' must be a nonempty list", _child(path, "of"))
-        parts = tuple(parse_spec(p, _child(_child(path, "of"), i))
-                      for i, p in enumerate(parts_obj))
-        return Union(parts) if tag == "union" else Intersect(parts)
-    raise SpecError(f"unknown spec type {tag!r}", path)
+    if not isinstance(tag, str) or tag not in _KINDS:
+        raise SpecError(f"unknown spec type {tag!r}", path)
+    cls, wire = _KINDS[tag]
+    _expect_keys(obj, path, set(wire))
+    fields = {field: obj[key] for key, field in wire.items()}
+    of_path = _child(path, "of")
+    if "of" in fields:
+        fields["of"] = parse_spec(obj["of"], of_path)
+    if "parts" in fields:
+        parts = obj["of"]
+        if not isinstance(parts, list) or not parts:
+            raise SpecError("'of' must be a nonempty list", of_path)
+        fields["parts"] = tuple(parse_spec(part, _child(of_path, i))
+                                for i, part in enumerate(parts))
+    spec = cls(**fields)
+    spec.validate(path)
+    return spec
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,22 @@ def test_spec_error_exit_code(capsys):
     assert json.loads(err)["error"]["type"] == "spec"
 
 
+@pytest.mark.parametrize("argv", [
+    ["lang", "count", "--spec", M2, "--n", "3"],
+    ["lang", "entropy", "--spec", M2, "--n-grid", "4"],
+    ["lang", "maxones", "--spec", M2, "--n", "3"],
+    ["lang", "transitive", "--spec", M2, "--word-len", "2", "--gap-cap", "2"],
+    ["detect", "delta", "--spec", SQUARES, "--depth", "2", "--bound", "10"],
+    ["detect", "ip", "--spec", SQUARES, "--depth", "2", "--bound", "10"],
+    ["detect", "ipip", "--spec", SQUARES, "--depth", "2", "--bound", "10"],
+])
+def test_zero_horizon_rejected(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--horizon", "0")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "validation"
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "bogus")
     assert code == 2

@@ -85,3 +85,11 @@ def test_report_tables_shape():
     table = report.observations["table"]
     assert table["columns"][0] == "k"
     assert len(table["rows"]) == 3 * 17
+
+
+def test_squares_chain_label_follows_depth():
+    report = run_experiment("squares-zero-entropy",
+                            {"chain_depth": 4, "deep_budget": 1000})
+    labels = [label for label, _ in report.observations["checks"]]
+    assert "depth-4 chain with square differences found" in labels
+    assert not any("depth-3" in text for text in labels + list(report.notes))

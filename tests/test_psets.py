@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from spacelab import (
-    BOHR_MARGIN,
     SpecError,
     ValidationError,
     build_pset,
@@ -88,13 +87,17 @@ def test_complement_in_bounds_only():
 def test_bohr_membership_margin():
     view = build_pset(Bohr(alpha=0.61803398875, interval=(0.0, 0.25)), 20)
     got = elements(view)
-    expected = []
-    for n in range(1, 21):
-        frac = (n * 0.61803398875) % 1.0
-        if 0.0 + BOHR_MARGIN < frac < 0.25 - BOHR_MARGIN:
-            expected.append(n)
+    alpha = Fraction("0.61803398875")
+    expected = [n for n in range(1, 21)
+                if 0 < (n * alpha) % 1 < Fraction(1, 4)]
     assert got == expected
     assert 2 in got
+    # exact open interval: a point just inside an endpoint is a member
+    # and a point on it is not
+    near = build_pset(Bohr(alpha=0.2499999995, interval=(0.0, 0.25)), 4)
+    assert elements(near) == [1]
+    half = build_pset(Bohr(alpha=0.5, interval=(0.0, 0.5)), 8)
+    assert elements(half) == []
 
 
 def test_parse_round_trip():
@@ -158,6 +161,8 @@ def test_validation_rules():
         Bohr(alpha=0.5, interval=(0.4, 0.1)).validate()
     with pytest.raises(ValidationError):
         Bohr(alpha=-1.0, interval=(0.0, 0.5)).validate()
+    with pytest.raises(SpecError):
+        Bohr(alpha=0.5, interval=0.3).validate()
     with pytest.raises(ValidationError):
         Union(parts=()).validate()
     with pytest.raises(ValidationError):
