@@ -117,35 +117,49 @@ def find_delta_chain(view: PSetView, depth: int, search_bound: int,
 
     Returns None when no chain of this depth fits inside the bound; that
     is not evidence that no longer chain exists beyond it.  Candidates
-    are explored depth-first in increasing order and pruned on the first
-    failing difference, so the first complete chain is the lexicographic
-    minimum.
+    are explored depth-first in increasing order, so the first complete
+    chain is the lexicographic minimum.
+
+    One node is one candidate position tested: at each level every
+    position from the previous element + 1 (or 1) upward is tested in
+    increasing order, legal or not, until one extends the chain or the
+    bound is passed.  The search walks only the legal candidates of a
+    mask and charges the illegal ones it skips in one step, so node
+    counts do not depend on how candidates are tested.  Exhaustion
+    raises :class:`BudgetError` with ``nodes == budget + 1``.
     """
     if depth < 2:
         raise ValidationError("delta chains need depth >= 2")
     _check_bound(view, search_bound)
-    bits = view.bits
     nodes = 0
     chain: list = []
-
-    def rec() -> bool:
-        nonlocal nodes
-        lo = chain[-1] + 1 if chain else 1
-        for s in range(lo, search_bound + 1):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetError("delta-chain budget exhausted", nodes)
-            if all((bits >> (s - c - 1)) & 1 for c in chain):
-                chain.append(s)
-                if len(chain) == depth or rec():
-                    return True
-                chain.pop()
-        return False
-
-    if not rec():
-        return None
-    return _certified(view, kind="delta_chain", payload=tuple(chain),
-                      depth=depth, bound=search_bound)
+    # masks[i] holds the untested legal candidates for chain[i]; bit s
+    # stands for position s
+    masks = [((1 << search_bound) - 1) << 1]
+    cursor = 1  # next candidate position to test at the current level
+    while masks:
+        allowed = masks[-1]
+        low = allowed & -allowed
+        s = low.bit_length() - 1
+        tested = (s if allowed else search_bound) - cursor + 1
+        if nodes + tested > budget:
+            # the number of the node that went over (1 if budget < 0)
+            raise BudgetError("delta-chain budget exhausted",
+                              max(budget, nodes) + 1)
+        nodes += tested
+        if not allowed:
+            masks.pop()
+            if chain:
+                cursor = chain.pop() + 1
+            continue
+        masks[-1] = allowed ^ low
+        chain.append(s)
+        if len(chain) == depth:
+            return _certified(view, kind="delta_chain", payload=tuple(chain),
+                              depth=depth, bound=search_bound)
+        masks.append(masks[-1] & view.after(s))
+        cursor = s + 1
+    return None
 
 
 def _check_bound(view: PSetView, search_bound: int) -> None:
@@ -160,8 +174,8 @@ def _check_bound(view: PSetView, search_bound: int) -> None:
 def _find_generator(view: PSetView, depth: int, search_bound: int,
                     budget: int, check_extension) -> Optional[tuple]:
     # lexicographic DFS over increasing tuples with sum(A) <= bound;
-    # check_extension(sums, a) judges one more element against P
-    bits = view.bits
+    # check_extension(table, sums, a) judges one more element against P
+    table = view.table
     nodes = 0
     chosen: list = []
 
@@ -176,7 +190,7 @@ def _find_generator(view: PSetView, depth: int, search_bound: int,
             nodes += 1
             if nodes > budget:
                 raise BudgetError("generator budget exhausted", nodes)
-            new_sums = check_extension(bits, sums, a)
+            new_sums = check_extension(table, sums, a)
             if new_sums is None:
                 continue
             chosen.append(a)
@@ -190,21 +204,20 @@ def _find_generator(view: PSetView, depth: int, search_bound: int,
     return None
 
 
-def _extend_ip(bits: int, sums: tuple, a: int):
+def _extend_ip(table: bytes, sums: tuple, a: int):
     new = (a,) + tuple(s + a for s in sums)
-    for s in new:
-        if not (bits >> (s - 1)) & 1:
-            return None
+    if not all(table[s] for s in new):
+        return None
     return sums + new
 
 
-def _extend_ip_ip(bits: int, sums: tuple, a: int):
+def _extend_ip_ip(table: bytes, sums: tuple, a: int):
     new = (a,) + tuple(s + a for s in sums)
     merged = sums + new
     for x in new:
         for y in merged:
             d = x - y if x > y else y - x
-            if d and not (bits >> (d - 1)) & 1:
+            if d and not table[d]:
                 return None
     return merged
 
@@ -262,33 +275,20 @@ def syndetic_gap(view: PSetView) -> Optional[SyndeticGapReport]:
     """Gap profile of the members, or None when A is empty on [1..H]."""
     if not view.bits:
         return None
-    first = (view.bits & -view.bits).bit_length()
-    last = view.bits.bit_length()
-    interior = first - 1
-    run = 0
-    for n in range(first, last + 1):
-        if (view.bits >> (n - 1)) & 1:
-            if run > interior:
-                interior = run
-            run = 0
-        else:
-            run += 1
+    table = view.table
+    first = table.index(1)
+    last = table.rindex(1)
+    # the stretch first..last starts and ends with a member, so it
+    # splits into exactly the interior runs of non-members
+    runs = table[first:last + 1].split(b"\1")
+    interior = max(first - 1, max(map(len, runs)))
     return SyndeticGapReport(interior_gap=interior,
                              censored_tail=view.horizon - last)
 
 
 def thick_run(view: PSetView) -> int:
     """Length of the longest run of consecutive members in [1..H]."""
-    best = 0
-    run = 0
-    for n in range(1, view.horizon + 1):
-        if (view.bits >> (n - 1)) & 1:
-            run += 1
-            if run > best:
-                best = run
-        else:
-            run = 0
-    return best
+    return max(map(len, view.table[1:].split(b"\0")))
 
 
 def intersective_refute(e_view: PSetView,
@@ -296,34 +296,32 @@ def intersective_refute(e_view: PSetView,
     """Least e in E intersect (A - A) within the horizon, or None.
 
     A None is refutation evidence that A - A avoids E up to H.  Hits are
-    returned with one witnessing pair (a, b), b - a = e, and re-verified.
+    returned with the least witnessing pair (a, b), b - a = e, and
+    re-verified.  The members e of E are tried in increasing order, each
+    with one shift-and-mask of A, so the worst case (no hit) costs
+    O(|E| * H / 64) word operations and a hit among the first few
+    members of E costs a few masks.
     """
     if e_view.horizon != a_view.horizon:
         raise ValidationError("E and A must share a horizon")
     horizon = e_view.horizon
-    diffs = 0
-    rest = a_view.bits
+    a_bits = a_view.bits
+    rest = e_view.bits
     while rest:
         low = rest & -rest
-        diffs |= a_view.bits >> low.bit_length()
-        rest ^= low
-    hits = diffs & e_view.bits
-    if not hits:
-        return None
-    e = (hits & -hits).bit_length()
-    pair = None
-    rest = a_view.bits
-    while rest:
-        low = rest & -rest
-        a = low.bit_length()
-        rest ^= low
-        if a + e <= horizon and (a_view.bits >> (a + e - 1)) & 1:
-            pair = (a, a + e)
+        e = low.bit_length()
+        # bit a-1 is set iff a and a + e are both in A
+        both = a_bits & (a_bits >> e)
+        if both:
             break
+        rest ^= low
+    else:
+        return None
+    a = (both & -both).bit_length()
+    pair = (a, a + e)
     witness = _certified(e_view, kind="intersective_hit", payload=e,
                          bound=horizon, pair=pair)
-    in_a = pair is not None and member(a_view, pair[0]) \
-        and member(a_view, pair[1])
+    in_a = member(a_view, a) and member(a_view, a + e)
     return replace(witness, verified=witness.verified and in_a)
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import ValidationError
 from .language import (Configuration, greedy_point, is_admissible, max_ones,
-                       DEFAULT_BUDGET)
+                       scan_point, DEFAULT_BUDGET)
 from .psets import PSetView
 
 
@@ -45,13 +45,8 @@ def random_point(view: PSetView, horizon: int, seed: int) -> OrbitPoint:
     position with probability 1/2.  Off by default everywhere; exists for
     exploratory runs only."""
     rng = random.Random(seed)
-    ones: list = []
-    for pos in range(horizon):
-        legal = all((view.bits >> (pos - prev - 1)) & 1 for prev in ones)
-        if legal and rng.random() < 0.5:
-            ones.append(pos)
-    return _wrap(view, Configuration(horizon, tuple(ones)),
-                 f"random:{seed}")
+    ones = scan_point(view, horizon, keep=lambda: rng.random() < 0.5)
+    return _wrap(view, Configuration(horizon, ones), f"random:{seed}")
 
 
 def make_point(view: PSetView, name: str, horizon: int,
@@ -219,9 +214,10 @@ def periodic_point_check(view: PSetView, k: int,
     if not 1 <= horizon <= view.horizon:
         raise ValidationError(
             f"horizon must lie in [1..{view.horizon}]")
-    for mult in range(k, horizon + 1, k):
-        if not (view.bits >> (mult - 1)) & 1:
-            return PeriodicCheckResult(point=None, failing_multiple=mult)
+    missing = view.table[k:horizon + 1:k].find(0)
+    if missing >= 0:
+        return PeriodicCheckResult(point=None,
+                                   failing_multiple=k * (missing + 1))
     config = Configuration(horizon, tuple(range(0, horizon, k)))
     point = _wrap(view, config, f"periodic:{k}")
     return PeriodicCheckResult(point=point, failing_multiple=None)

@@ -81,26 +81,20 @@ def is_admissible(config: Configuration, view: PSetView) -> bool:
     if config.length > view.horizon:
         raise ValidationError(
             f"configuration length {config.length} exceeds horizon {view.horizon}")
-    bits = view.bits
-    ones = config.ones
-    for i, small in enumerate(ones):
-        for big in ones[i + 1:]:
-            if not (bits >> (big - small - 1)) & 1:
-                return False
-    return True
+    # bit d-1 of ones_mask >> (p + 1) is set iff p + d is a 1-position
+    ones_mask = config.ones_mask()
+    not_p = ~view.bits
+    return not any((ones_mask >> (p + 1)) & not_p for p in config.ones)
 
 
 def _adjacency_rows(view: PSetView, n: int) -> list:
     # rows[v] = positions j > v with j - v in P, as a bitmask
     full = (1 << n) - 1
-    return [(view.bits << (v + 1)) & full for v in range(n)]
+    return [view.after(v) & full for v in range(n)]
 
 
 def _count_naive(view: PSetView, n: int) -> int:
-    allowed_diffs = set()
-    for d in range(1, n):
-        if (view.bits >> (d - 1)) & 1:
-            allowed_diffs.add(d)
+    allowed_diffs = {d for d in range(1, n) if view.table[d]}
     total = 0
     for mask in range(1 << n):
         ones = []
@@ -314,12 +308,28 @@ def greedy_point(view: PSetView, horizon: int) -> Configuration:
     if horizon > view.horizon:
         raise ValidationError(
             f"point horizon {horizon} exceeds view horizon {view.horizon}")
-    bits = view.bits
+    return Configuration(horizon, scan_point(view, horizon))
+
+
+def scan_point(view: PSetView, horizon: int, keep=None) -> tuple:
+    """1-positions of a left-to-right scan over 0..horizon-1.
+
+    Each position legal against the positions kept so far is offered to
+    ``keep()`` in increasing order and kept when it returns true (every
+    legal position is kept when `keep` is None).  Only legal positions
+    are visited: the scan walks the set bits of a candidate mask.
+    """
+    allowed = (1 << max(horizon, 0)) - 1
     ones = []
-    for pos in range(horizon):
-        if all((bits >> (pos - prev - 1)) & 1 for prev in ones):
+    while allowed:
+        low = allowed & -allowed
+        pos = low.bit_length() - 1
+        if keep is None or keep():
             ones.append(pos)
-    return Configuration(horizon, tuple(ones))
+            allowed &= view.after(pos)
+        else:
+            allowed ^= low
+    return tuple(ones)
 
 
 def find_join_gap(view: PSetView, u: Configuration, v: Configuration,
@@ -336,11 +346,10 @@ def find_join_gap(view: PSetView, u: Configuration, v: Configuration,
         raise ValidationError("cross differences would exceed the horizon")
     if not u.ones or not v.ones:
         return 0
-    bits = view.bits
+    table = view.table
     for g in range(gap_cap + 1):
         base = u.length + g
-        if all((bits >> (base + j - i - 1)) & 1
-               for i in u.ones for j in v.ones):
+        if all(table[base + j - i] for i in u.ones for j in v.ones):
             return g
     return None
 
@@ -348,13 +357,15 @@ def find_join_gap(view: PSetView, u: Configuration, v: Configuration,
 def _admissible_words_up_to(view: PSetView, max_len: int) -> list:
     out = []
     for length in range(1, max_len + 1):
-        stack = [((), 0)]
+        stack = [((), (1 << length) - 1)]
         while stack:
-            ones, start = stack.pop()
+            ones, allowed = stack.pop()
             out.append(Configuration(length, ones))
-            for pos in range(length - 1, start - 1, -1):
-                if all((view.bits >> (pos - prev - 1)) & 1 for prev in ones):
-                    stack.append((ones + (pos,), pos + 1))
+            while allowed:
+                low = allowed & -allowed
+                pos = low.bit_length() - 1
+                allowed ^= low
+                stack.append((ones + (pos,), allowed & view.after(pos)))
     out.sort(key=lambda c: (c.length, c.ones))
     return out
 

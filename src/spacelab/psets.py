@@ -5,7 +5,8 @@ squares, explicit lists, finite subset sums, difference sets, Bohr sets,
 and boolean combinations of those.  Trees parse from and serialize to
 tagged JSON, validate with a path to the offending node, and materialize
 over a horizon [1..H] as an integer bitmask (bit n-1 set iff n is a
-member).  Densities are always exact rationals.
+member), with a byte table alongside for constant-time lookups.
+Densities are always exact rationals.
 
 Conventions: N starts at 1.  Word positions elsewhere in the package are
 0-based; the difference of two positions is the 1-based number looked up
@@ -18,6 +19,9 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate, compress
+from operator import sub
 from typing import Optional, Sequence
 
 from .errors import SpecError, ValidationError
@@ -420,18 +424,44 @@ def parse_spec(obj: object, path: str = "") -> PSetSpec:
     return spec
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 @dataclass(frozen=True)
 class PSetView:
     """Materialized membership of a described set over [1..horizon].
 
     ``bits`` has bit n-1 set iff n is a member.  Views are immutable and
     a pure function of (spec, horizon); sharing them across workers is
-    safe.
+    safe.  Single numbers are looked up in :attr:`table`; searches over
+    positions keep candidate masks built with :meth:`after`.
     """
 
     horizon: int
     bits: int
     spec_digest: str
+
+    @cached_property
+    def table(self) -> bytes:
+        """Byte lookup table: ``table[n] == 1`` iff n is in P, else 0.
+
+        Its length is horizon + 1; ``table[0]`` is 0 because 0 is not in
+        N.  Built once in O(horizon) on first use and cached on the view;
+        indexing it costs O(1), where reading one bit of ``bits`` costs
+        O(horizon / 64).
+        """
+        digits = format(self.bits << 1, f"0{self.horizon + 1}b")[::-1]
+        return digits[:self.horizon + 1].encode("ascii").translate(_BIT_BYTES)
+
+    def after(self, p: int) -> int:
+        """Candidate mask once position p is chosen: bit q is set iff
+        q - p is in P (so only q > p).
+
+        A search keeps ``allowed &= view.after(p)`` for each chosen p;
+        the set bits of ``allowed`` are then exactly the positions legal
+        against every choice so far.
+        """
+        return self.bits << (p + 1)
 
 
 def build_pset(spec: PSetSpec, horizon: int) -> PSetView:
@@ -460,18 +490,12 @@ def member(view: PSetView, n: int) -> bool:
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= view.horizon:
         raise ValidationError(
             f"membership query {n!r} outside horizon [1..{view.horizon}]")
-    return bool((view.bits >> (n - 1)) & 1)
+    return bool(view.table[n])
 
 
 def elements(view: PSetView) -> list:
     """All members in increasing order."""
-    out = []
-    bits = view.bits
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length())
-        bits ^= low
-    return out
+    return list(compress(range(view.horizon + 1), view.table))
 
 
 @dataclass(frozen=True)
@@ -493,15 +517,11 @@ class DensityReport:
     banach_profile: tuple
 
 
-def _max_window_count(bits: int, horizon: int, width: int) -> int:
-    cur = ((bits & ((1 << width) - 1))).bit_count()
-    best = cur
-    for m in range(1, horizon - width + 1):
-        cur -= (bits >> (m - 1)) & 1
-        cur += (bits >> (m + width - 1)) & 1
-        if cur > best:
-            best = cur
-    return best
+def _max_window_count(table: bytes, width: int) -> int:
+    # as m steps up, the window (m, m+width] gains table[m+width+1] and
+    # loses table[m+1]; the running sums are every window's count
+    steps = map(sub, table[width + 1:], table[1:])
+    return max(accumulate(steps, initial=sum(table[1:width + 1])))
 
 
 def density_report(view: PSetView, window_grid: Sequence[int],
@@ -531,14 +551,12 @@ def density_report(view: PSetView, window_grid: Sequence[int],
         if not isinstance(w, int) or isinstance(w, bool) or not 1 <= w <= H:
             raise ValidationError(f"window length {w!r} outside [1..{H}]")
 
-    prefix = []
-    count = 0
-    for n in range(1, H + 1):
-        count += (view.bits >> (n - 1)) & 1
-        prefix.append((n, Fraction(count, n)))
-    tail = [d for n, d in prefix if n >= n0]
-    banach = tuple((w, Fraction(_max_window_count(view.bits, H, w), w))
+    table = view.table
+    prefix = tuple((n, Fraction(count, n))
+                   for n, count in enumerate(accumulate(table[1:]), 1))
+    tail = [d for _, d in prefix[n0 - 1:]]
+    banach = tuple((w, Fraction(_max_window_count(table, w), w))
                    for w in grid)
-    return DensityReport(horizon=H, n0=n0, prefix_densities=tuple(prefix),
+    return DensityReport(horizon=H, n0=n0, prefix_densities=prefix,
                          lower_est=min(tail), upper_est=max(tail),
                          banach_profile=banach)

@@ -60,6 +60,15 @@ def test_delta_chain_budget():
         find_delta_chain(view, 5, 1000, budget=100)
 
 
+def test_delta_chain_deeper_than_the_stack():
+    # every difference is in N, so the least chain is 1..depth; the
+    # search must not need one stack frame per level
+    view = build_pset(Multiples(k=1), 1500)
+    witness = find_delta_chain(view, 1200, 1500)
+    assert witness.payload == tuple(range(1, 1201))
+    assert witness.verified
+
+
 def test_ip_generator(m2_view, full_view):
     witness = find_ip_generator(m2_view, 2, 10)
     assert witness.payload == (2, 4)

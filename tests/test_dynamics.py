@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,18 @@ def test_random_point_deterministic(co3_view):
     assert a.label == "random:7"
     assert a.config != c.config
     assert a.admissible
+
+
+def test_random_point_frozen(co3_view):
+    # the generator is consulted once per legal position, in increasing
+    # order; these values pin that call order
+    assert random_point(co3_view, 64, seed=7).config.ones == (0, 1, 5)
+    assert random_point(co3_view, 64, seed=8).config.ones == (0, 2, 7)
+    ones = random_point(build_pset(Multiples(k=2), 8000), 8000,
+                        seed=11).config.ones
+    assert len(ones) == 2015
+    assert hashlib.sha256(",".join(map(str, ones)).encode()).hexdigest() \
+        == "99d70a97895b5c373e7d36fc47b33213eb6eb2e22f33fed0d0281406d6655b80"
 
 
 def test_named_points(co3_view):

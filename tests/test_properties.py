@@ -1,22 +1,33 @@
 import itertools
+import random
+from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spacelab import (
+    BudgetError,
     Configuration,
     build_pset,
     count_words,
+    density_report,
     elements,
+    find_delta_chain,
     find_ip_generator,
     finite_sums,
+    greedy_point,
     is_admissible,
     max_ones,
     member,
+    syndetic_gap,
+    thick_run,
     verify_witness,
 )
 from spacelab.detect import StructureWitness
-from spacelab.psets import Complement, Explicit, Intersect, Multiples, Union
+from spacelab.dynamics import random_point
+from spacelab.psets import (Complement, Explicit, Intersect, Multiples,
+                            Squares, Union)
 from conftest import brute_count
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -144,3 +155,153 @@ def test_omega_bounds(elems, n):
     assert len(config.ones) == omega
     assert is_admissible(config, view)
     assert (1 << omega) <= count_words(view, n)
+
+
+# -- the bitset kernel against plain set semantics ---------------------------
+#
+# Each reference below reads P only as a Python set, so it shares no code
+# with the byte table or the candidate masks it checks.
+
+@st.composite
+def small_sets(draw):
+    """A small spec, its horizon (from 1) and its members as a set."""
+    horizon = draw(st.integers(min_value=1, max_value=24))
+    kind = draw(st.sampled_from(["explicit", "multiples", "co_multiples",
+                                 "squares"]))
+    if kind == "explicit":
+        elems = draw(st.sets(st.integers(min_value=1, max_value=30),
+                             max_size=12))
+        spec, members = Explicit(elems=tuple(sorted(elems))), elems
+    elif kind == "squares":
+        spec, members = Squares(), {r * r for r in range(1, 6)}
+    else:
+        k = draw(st.integers(min_value=1, max_value=5))
+        members = {n for n in range(1, 31) if n % k == 0}
+        spec = Multiples(k=k)
+        if kind == "co_multiples":
+            # k = 1 gives the empty set
+            spec = Complement(of=spec)
+            members = set(range(1, 31)) - members
+    in_horizon = {n for n in members if n <= horizon}
+    return build_pset(spec, horizon), in_horizon
+
+
+def ref_admissible(ps, ones):
+    return all(b - a in ps for a, b in itertools.combinations(ones, 2))
+
+
+def ref_scan(ps, horizon, keep=None):
+    ones = []
+    for pos in range(horizon):
+        if all(pos - prev in ps for prev in ones):
+            if keep is None or keep():
+                ones.append(pos)
+    return tuple(ones)
+
+
+def ref_chain(ps, depth, bound, budget):
+    """Least chain by depth-first search, one node per candidate tested;
+    returns ("chain", tuple), ("none",) or ("budget", nodes)."""
+    nodes = 0
+
+    def rec(chain):
+        nonlocal nodes
+        for s in range(chain[-1] + 1 if chain else 1, bound + 1):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetError("reference budget", nodes)
+            if all(s - c in ps for c in chain):
+                found = chain + (s,)
+                if len(found) == depth:
+                    return found
+                found = rec(found)
+                if found:
+                    return found
+        return None
+
+    try:
+        found = rec(())
+    except BudgetError as exc:
+        return ("budget", exc.nodes)
+    return ("chain", found) if found else ("none",)
+
+
+@given(case=small_sets())
+@SETTINGS
+def test_table_matches_set_semantics(case):
+    view, ps = case
+    H = view.horizon
+    assert view.table == bytes(int(n in ps) for n in range(H + 1))
+    assert [member(view, n) for n in range(1, H + 1)] \
+        == [n in ps for n in range(1, H + 1)]
+    assert elements(view) == sorted(ps)
+
+
+@given(case=small_sets(), data=st.data())
+@SETTINGS
+def test_points_and_admissibility_match_reference(case, data):
+    view, ps = case
+    h = data.draw(st.integers(min_value=0, max_value=view.horizon))
+    assert greedy_point(view, h).ones == ref_scan(ps, h)
+    seed = data.draw(st.integers(min_value=0, max_value=99))
+    rng = random.Random(seed)
+    assert random_point(view, h, seed).config.ones \
+        == ref_scan(ps, h, keep=lambda: rng.random() < 0.5)
+    ones = data.draw(st.sets(st.integers(min_value=0, max_value=max(h - 1, 0)),
+                             max_size=6)) if h else set()
+    config = Configuration(h, tuple(sorted(ones)))
+    assert is_admissible(config, view) == ref_admissible(ps, config.ones)
+
+
+@given(case=small_sets(), depth=st.integers(min_value=2, max_value=5),
+       data=st.data())
+@SETTINGS
+def test_delta_chain_matches_reference(case, depth, data):
+    view, ps = case
+    bound = data.draw(st.integers(min_value=1, max_value=view.horizon))
+    budget = data.draw(st.integers(min_value=0, max_value=400))
+    expected = ref_chain(ps, depth, bound, budget)
+    if expected[0] == "budget":
+        with pytest.raises(BudgetError) as exc:
+            find_delta_chain(view, depth, bound, budget=budget)
+        assert exc.value.nodes == expected[1] == budget + 1
+        return
+    witness = find_delta_chain(view, depth, bound, budget=budget)
+    if expected[0] == "none":
+        assert witness is None
+    else:
+        assert witness.payload == expected[1]
+        assert witness.verified
+
+
+@given(case=small_sets(), data=st.data())
+@SETTINGS
+def test_scans_and_densities_match_reference(case, data):
+    view, ps = case
+    H = view.horizon
+    longest = run = 0
+    for n in range(1, H + 1):
+        run = run + 1 if n in ps else 0
+        longest = max(longest, run)
+    assert thick_run(view) == longest
+    if not ps:
+        assert syndetic_gap(view) is None
+    else:
+        members = sorted(ps)
+        gaps = [b - a - 1 for a, b in zip(members, members[1:])]
+        report = syndetic_gap(view)
+        assert report.interior_gap == max([members[0] - 1] + gaps)
+        assert report.censored_tail == H - members[-1]
+    grid = data.draw(st.lists(st.integers(min_value=1, max_value=H),
+                              min_size=1, max_size=3))
+    n0 = data.draw(st.integers(min_value=1, max_value=H))
+    report = density_report(view, grid, n0=n0)
+    prefix = tuple((n, Fraction(len([m for m in ps if m <= n]), n))
+                   for n in range(1, H + 1))
+    assert report.prefix_densities == prefix
+    tail = [d for n, d in prefix if n >= n0]
+    assert (report.lower_est, report.upper_est) == (min(tail), max(tail))
+    assert report.banach_profile == tuple(
+        (w, Fraction(max(len([n for n in ps if m < n <= m + w])
+                         for m in range(H - w + 1)), w))
+        for w in grid)
