@@ -1,7 +1,8 @@
 """Count admissible words exactly and watch the entropy estimates.
 
 Two counting routes exist on purpose: a naive sweep over all binary
-words and a memoized recursion.  They must agree wherever both run.
+words and a clique counter memoized up to translation.  They must agree
+wherever both run.
 """
 
 from spacelab import build_pset, count_words, entropy_profile, max_ones

@@ -2,14 +2,13 @@
 
 A length-n word is admissible when every pairwise difference of its
 1-positions is a member of P; equivalently its 1-positions form a clique
-in the distance graph on {0..n-1} with edges |i-j| in P.  The language is
-hereditary (delete any 1 and the word stays admissible), which both
-counting routes below exploit only through the definition itself.
+in the distance graph on {0..n-1} with edges |i-j| in P.  That graph is
+translation invariant, which both searches below exploit.
 
 Two counters are kept deliberately separate: a naive oracle that walks
-all 2^n subsets and checks pairwise differences directly, and an
-optimized clique counter over bitmask adjacency rows.  Tests require the
-two to agree exactly.
+all 2^n subsets and checks pairwise differences directly, and a clique
+counter whose memo is keyed on candidate masks shifted down to bit 0, so
+that translates share one entry.  Tests require the two to agree exactly.
 """
 
 from __future__ import annotations
@@ -87,12 +86,6 @@ def is_admissible(config: Configuration, view: PSetView) -> bool:
     return not any((ones_mask >> (p + 1)) & not_p for p in config.ones)
 
 
-def _adjacency_rows(view: PSetView, n: int) -> list:
-    # rows[v] = positions j > v with j - v in P, as a bitmask
-    full = (1 << n) - 1
-    return [view.after(v) & full for v in range(n)]
-
-
 def _count_naive(view: PSetView, n: int) -> int:
     allowed_diffs = {d for d in range(1, n) if view.table[d]}
     total = 0
@@ -116,31 +109,34 @@ def _count_naive(view: PSetView, n: int) -> int:
     return total
 
 
-def _count_cliques(rows: list, full: int, budget: int) -> int:
-    # f(allowed) = cliques inside `allowed`, chosen in increasing vertex
-    # order; memoized on the allowed mask, budget counts cache misses
-    memo = {}
-    nodes = 0
-
-    def rec(allowed: int) -> int:
-        nonlocal nodes
-        hit = memo.get(allowed)
-        if hit is not None:
-            return hit
-        nodes += 1
-        if nodes > budget:
-            raise BudgetError("word-count budget exhausted", nodes)
-        total = 1
-        rest = allowed
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            total += rec(allowed & rows[v])
-        memo[allowed] = total
-        return total
-
-    return rec(full)
+def _count_cliques(bits: int, n: int, budget: int, memo: dict) -> int:
+    # f(A) = cliques inside the candidate mask A, the empty one included,
+    # depends only on A shifted down to bit 0 (the graph is translation
+    # invariant), so the memo is keyed that way.  Split on the lowest
+    # vertex 0: f(A) = f(A - {0}) + f((A >> 1) & bits), each side shifted
+    # down again.  The seeded memo[0] == 1 is not a node; later entries are.
+    root = (1 << n) - 1
+    get = memo.get
+    stack = [root] if root not in memo else []
+    while stack:
+        a = stack[-1]
+        rest = a >> 1
+        sub = rest >> ((rest & -rest).bit_length() - 1) if rest else 0
+        without = get(sub)
+        if without is not None:
+            sub = rest & bits
+            if sub:
+                sub >>= (sub & -sub).bit_length() - 1
+            with_0 = get(sub)
+            if with_0 is not None:
+                memo[a] = without + with_0
+                stack.pop()
+                if len(memo) > budget + 1:
+                    raise BudgetError("word-count budget exhausted",
+                                      len(memo) - 1)
+                continue
+        stack.append(sub)
+    return memo[root]
 
 
 def count_words(view: PSetView, n: int, mode: str = "optimized",
@@ -156,45 +152,47 @@ def count_words(view: PSetView, n: int, mode: str = "optimized",
         additionally capped at 24.
     mode : {"naive", "optimized"}
         ``naive`` enumerates all 2^n subsets and checks differences
-        directly; ``optimized`` counts cliques over adjacency rows.
-        The two must agree exactly.
+        directly; ``optimized`` counts cliques with a memo keyed on
+        candidate masks shifted down to bit 0.  The two must agree
+        exactly.
     budget : int
-        Node cap for optimized mode.  Exhaustion raises
-        :class:`BudgetError`; a partial count is never returned.
+        Node cap for optimized mode.  A node is one memo entry added (a
+        distinct nonempty shifted mask), so the budget also caps the
+        memo.  Exhaustion raises :class:`BudgetError` with ``nodes ==
+        budget + 1``; a partial count is never returned.
     """
+    return _count_words(view, n, mode, budget, {0: 1})
+
+
+def _count_words(view: PSetView, n: int, mode: str, budget: int,
+                 memo: dict) -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValidationError("word length must be a non-negative integer")
     if n > view.horizon:
-        raise ValidationError(
-            f"word length {n} exceeds horizon {view.horizon}")
+        raise ValidationError(f"word length {n} exceeds horizon {view.horizon}")
     if mode == "naive":
         if n > NAIVE_MAX_N:
-            raise ValidationError(
-                f"naive mode is capped at n <= {NAIVE_MAX_N}")
+            raise ValidationError(f"naive mode is capped at n <= {NAIVE_MAX_N}")
         return _count_naive(view, n)
     if mode == "optimized":
-        if n == 0:
-            return 1
-        return _count_cliques(_adjacency_rows(view, n), (1 << n) - 1, budget)
+        return _count_cliques(view.bits, n, budget, memo)
     raise ValidationError(f"unknown mode {mode!r}")
 
 
-def _color_bound(allowed: int, adj: list) -> int:
-    # greedy coloring of the allowed subgraph; class count bounds the
-    # largest clique from above
-    classes = []
-    rest = allowed
-    while rest:
-        low = rest & -rest
-        v = low.bit_length() - 1
-        rest ^= low
-        for i, cls in enumerate(classes):
-            if not cls & adj[v]:
-                classes[i] = cls | low
-                break
-        else:
-            classes.append(low)
-    return len(classes)
+def _colors_exceed(allowed: int, rows: list, limit: int) -> bool:
+    # whether greedy coloring of the allowed subgraph in increasing vertex
+    # order, one class at a time, needs more than `limit` classes (the
+    # class count bounds the largest clique from above)
+    while allowed:
+        if limit <= 0:
+            return True
+        limit -= 1
+        cls = allowed
+        while cls:
+            low = cls & -cls
+            allowed ^= low
+            cls = (cls ^ low) & ~rows[low.bit_length() - 1]
+    return False
 
 
 def max_ones(view: PSetView, n: int,
@@ -202,10 +200,16 @@ def max_ones(view: PSetView, n: int,
     """Largest number of 1s in an admissible length-n word, with witness.
 
     Returns the clique number of the distance graph together with the
-    lexicographically least witness configuration.  The search explores
+    lexicographically least witness configuration.  That witness
+    contains 0, since shifting a clique down keeps it a clique, so the
+    search starts from the clique {0} alone.  It extends cliques by
     vertices in increasing order, so the first maximum clique it reaches
     is the lexicographic minimum; a greedy coloring bound prunes branches
     that cannot beat the best size found so far.
+
+    Each clique extended is one node and the root {0} is node 1;
+    exhausting ``budget`` raises :class:`BudgetError` with
+    ``nodes == budget + 1``.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValidationError("window length must be a non-negative integer")
@@ -214,43 +218,42 @@ def max_ones(view: PSetView, n: int,
     if n == 0:
         return 0, Configuration(0, ())
 
-    rows = _adjacency_rows(view, n)
-    adj = list(rows)
-    for v in range(n):
-        rest = rows[v]
-        while rest:
-            low = rest & -rest
-            adj[low.bit_length() - 1] |= 1 << v
-            rest ^= low
-
-    best_size = 0
-    best_ones: tuple = ()
-    nodes = 0
-
-    def expand(chosen: list, allowed: int) -> None:
-        nonlocal best_size, best_ones, nodes
+    # rows[v] = positions j > v with j - v in P, as a bitmask
+    full = (1 << n) - 1
+    rows = [view.after(v) & full for v in range(n)]
+    best_size, best_ones, nodes = 0, (), 0
+    # frame i: the candidates of chosen[:i] and those not yet tried; the
+    # root frame, with no vertex chosen, tries 0 alone
+    chosen = []
+    allowed = [full]
+    untried = [1]
+    while untried:
+        rest = untried[-1]
+        # no candidate left can beat the best: each extends by at most rest
+        if len(chosen) + rest.bit_count() <= best_size:
+            untried.pop()
+            allowed.pop()
+            del chosen[-1:]  # nothing to drop at the root frame
+            continue
+        low = rest & -rest
+        untried[-1] = rest ^ low
+        v = low.bit_length() - 1
+        sub = allowed[-1] & rows[v]
+        size = len(chosen) + 1
+        if size + sub.bit_count() <= best_size:
+            continue
         nodes += 1
         if nodes > budget:
             raise BudgetError("max-ones budget exhausted", nodes)
-        if len(chosen) > best_size:
-            best_size = len(chosen)
+        chosen.append(v)
+        if size > best_size:
+            best_size = size
             best_ones = tuple(chosen)
-        if not allowed:
-            return
-        if len(chosen) + _color_bound(allowed, adj) <= best_size:
-            return
-        rest = allowed
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            if len(chosen) + 1 + (allowed & rows[v]).bit_count() <= best_size:
-                continue
-            chosen.append(v)
-            expand(chosen, allowed & rows[v])
+        if sub and _colors_exceed(sub, rows, best_size - size):
+            allowed.append(sub)
+            untried.append(sub)
+        else:
             chosen.pop()
-
-    expand([], (1 << n) - 1)
     return best_size, Configuration(n, best_ones)
 
 
@@ -279,7 +282,12 @@ class LanguageProfile:
 def entropy_profile(view: PSetView, n_grid: Sequence[int],
                     mode: str = "optimized",
                     budget: int = DEFAULT_BUDGET) -> LanguageProfile:
-    """Exact counts and entropy estimates over a grid of word lengths."""
+    """Exact counts and entropy estimates over a grid of word lengths.
+
+    In optimized mode the counts share one memo, so ``budget`` caps the
+    memo entries added over the whole grid; each ``max_ones`` call gets
+    its own ``budget``.
+    """
     grid = sorted(set(n_grid))
     if not grid:
         raise ValidationError("n_grid must be nonempty")
@@ -287,8 +295,9 @@ def entropy_profile(view: PSetView, n_grid: Sequence[int],
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValidationError("grid lengths must be positive integers")
     rows = []
+    memo = {0: 1}
     for n in grid:
-        count = count_words(view, n, mode=mode, budget=budget)
+        count = _count_words(view, n, mode, budget, memo)
         omega, _ = max_ones(view, n, budget=budget)
         rows.append(ProfileRow(n=n, count=count,
                                entropy=math.log2(count) / n,

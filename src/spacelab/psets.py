@@ -309,10 +309,10 @@ class Complement(PSetSpec):
 
 
 @dataclass(frozen=True)
-class Union(PSetSpec):
-    parts: tuple
+class _Combination(PSetSpec):
+    """Shared fields and rules of a boolean combination of parts."""
 
-    kind = "union"
+    parts: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
@@ -324,7 +324,12 @@ class Union(PSetSpec):
             part.validate(_child(_child(path, "of"), i))
 
     def to_json(self) -> dict:
-        return {"type": "union", "of": [p.to_json() for p in self.parts]}
+        return {"type": self.kind, "of": [p.to_json() for p in self.parts]}
+
+
+@dataclass(frozen=True)
+class Union(_Combination):
+    kind = "union"
 
     def _bits(self, horizon: int) -> int:
         mask = 0
@@ -334,22 +339,8 @@ class Union(PSetSpec):
 
 
 @dataclass(frozen=True)
-class Intersect(PSetSpec):
-    parts: tuple
-
+class Intersect(_Combination):
     kind = "intersect"
-
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-
-    def validate(self, path: str = "") -> None:
-        if not self.parts:
-            raise SpecError("need at least 1 part", _child(path, "of"))
-        for i, part in enumerate(self.parts):
-            part.validate(_child(_child(path, "of"), i))
-
-    def to_json(self) -> dict:
-        return {"type": "intersect", "of": [p.to_json() for p in self.parts]}
 
     def _bits(self, horizon: int) -> int:
         mask = self.parts[0]._bits(horizon)

@@ -35,6 +35,18 @@ def test_lang_count_modes_agree(capsys):
     assert naive == opt
 
 
+@pytest.mark.parametrize("cmd", ["count", "maxones"])
+def test_lang_deeper_than_the_stack(capsys, cmd):
+    code, out, err = run_cli(capsys, "lang", cmd, "--spec",
+                             '{"type":"multiples","k":1}', "--n", "1500")
+    assert code == 0
+    assert err == ""
+    if cmd == "count":
+        assert out == f"{2 ** 1500}\n"
+    else:
+        assert json.loads(out)["ones"] == list(range(1500))
+
+
 def test_detect_delta_witness_shape(capsys):
     code, out, _ = run_cli(capsys, "detect", "delta", "--spec", SQUARES,
                            "--depth", "3", "--bound", "100")

@@ -100,6 +100,12 @@ def test_count_budget():
     assert err.value.nodes > 10
 
 
+def test_searches_deeper_than_the_stack():
+    view = build_pset(Multiples(k=1), 1500)
+    assert count_words(view, 1500) == 2 ** 1500
+    assert max_ones(view, 1500) == (1500, Configuration(1500, range(1500)))
+
+
 def test_max_ones_frozen(m2_view, m3_view, co3_view):
     omega, config = max_ones(m3_view, 8)
     assert omega == 3

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -13,6 +16,7 @@ from spacelab import (
     count_words,
     density_report,
     elements,
+    entropy_profile,
     find_delta_chain,
     find_ip_generator,
     finite_sums,
@@ -24,11 +28,12 @@ from spacelab import (
     thick_run,
     verify_witness,
 )
+from spacelab.cli import main
 from spacelab.detect import StructureWitness
 from spacelab.dynamics import random_point
-from spacelab.psets import (Complement, Explicit, Intersect, Multiples,
+from spacelab.psets import (Bohr, Complement, Explicit, Intersect, Multiples,
                             Squares, Union)
-from conftest import brute_count
+from conftest import brute_count, brute_max_ones
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -167,13 +172,22 @@ def small_sets(draw):
     """A small spec, its horizon (from 1) and its members as a set."""
     horizon = draw(st.integers(min_value=1, max_value=24))
     kind = draw(st.sampled_from(["explicit", "multiples", "co_multiples",
-                                 "squares"]))
+                                 "squares", "bohr"]))
     if kind == "explicit":
         elems = draw(st.sets(st.integers(min_value=1, max_value=30),
                              max_size=12))
         spec, members = Explicit(elems=tuple(sorted(elems))), elems
     elif kind == "squares":
         spec, members = Squares(), {r * r for r in range(1, 6)}
+    elif kind == "bohr":
+        # alpha = a/1000 and the endpoints lo/20 < hi/20, all exact decimals
+        a = draw(st.integers(min_value=1, max_value=999))
+        lo = draw(st.integers(min_value=0, max_value=19))
+        hi = draw(st.integers(min_value=lo + 1, max_value=20))
+        spec = Bohr(alpha=a / 1000, interval=(lo / 20, hi / 20))
+        members = {n for n in range(1, 31)
+                   if Fraction(lo, 20) < Fraction(n * a % 1000, 1000)
+                   < Fraction(hi, 20)}
     else:
         k = draw(st.integers(min_value=1, max_value=5))
         members = {n for n in range(1, 31) if n % k == 0}
@@ -305,3 +319,125 @@ def test_scans_and_densities_match_reference(case, data):
         (w, Fraction(max(len([n for n in ps if m < n <= m + w])
                          for m in range(H - w + 1)), w))
         for w in grid)
+
+
+# -- the clique searches against brute force ---------------------------------
+
+@given(case=small_sets(), data=st.data())
+@SETTINGS
+def test_clique_searches_match_brute_force(case, data):
+    view, ps = case
+    n = data.draw(st.integers(min_value=0, max_value=min(12, view.horizon)))
+    assert count_words(view, n) == brute_count(ps, n)
+    omega, config = max_ones(view, n)
+    assert (omega, config.ones) == brute_max_ones(ps, n)
+
+
+@given(case=small_sets(), data=st.data())
+@SETTINGS
+def test_profile_rows_match_standalone_calls(case, data):
+    view, _ = case
+    grid = data.draw(st.lists(
+        st.integers(min_value=1, max_value=min(12, view.horizon)),
+        min_size=1, max_size=5))
+    profile = entropy_profile(view, grid)
+    assert [(row.n, row.count, row.omega) for row in profile.rows] == [
+        (n, count_words(view, n), max_ones(view, n)[0])
+        for n in sorted(set(grid))]
+
+
+def ref_memo_entries(ps, n):
+    """Distinct nonempty candidate sets, each shifted to start at 0, that
+    the counter reaches from {0..n-1} by dropping the lowest vertex or by
+    keeping only its neighbours."""
+    seen = set()
+    todo = [frozenset(range(n))]
+    while todo:
+        cand = todo.pop()
+        if not cand or cand in seen:
+            continue
+        seen.add(cand)
+        low = min(cand)
+        rest = cand - {low}
+        for sub in (rest, {v for v in rest if v - low in ps}):
+            if sub:
+                todo.append(frozenset(v - min(sub) for v in sub))
+    return len(seen)
+
+
+@given(case=small_sets(), data=st.data())
+@SETTINGS
+def test_budget_exhaustion_reports_budget_plus_one(case, data):
+    view, ps = case
+    n = data.draw(st.integers(min_value=0, max_value=min(12, view.horizon)))
+    entries = ref_memo_entries(ps, n)
+    for search in (count_words, max_ones):
+        answers = []
+        for budget in range(51):
+            try:
+                answers.append(search(view, n, budget=budget))
+            except BudgetError as exc:
+                assert exc.nodes == budget + 1
+                answers.append(None)
+            if search is count_words:
+                # one node per memo entry: the count needs exactly `entries`
+                assert (answers[-1] is None) == (budget < entries)
+        # a larger budget never turns an answer into "don't know"
+        done = [answer is not None for answer in answers]
+        assert done == sorted(done)
+        assert {answer for answer in answers if answer is not None} <= {
+            search(view, n)}
+
+
+# -- the CLI contract on random small inputs ---------------------------------
+
+def _leaf_specs():
+    # mostly valid specs, with some malformed ones mixed in
+    elems = st.one_of(
+        st.sets(st.integers(min_value=1, max_value=30), max_size=8).map(sorted),
+        st.lists(st.integers(min_value=-1, max_value=30), max_size=3))
+    ends = st.integers(min_value=0, max_value=19).flatmap(
+        lambda lo: st.integers(min_value=lo + 1, max_value=20).map(
+            lambda hi: [lo / 20, hi / 20]))
+    return st.one_of(
+        st.builds(lambda e: {"type": "explicit", "elems": e}, elems),
+        st.builds(lambda k: {"type": "multiples", "k": k},
+                  st.integers(min_value=1, max_value=6)),
+        st.just({"type": "squares"}),
+        st.builds(lambda a, iv: {"type": "bohr", "alpha": a / 1000,
+                                 "interval": iv},
+                  st.integers(min_value=1, max_value=999), ends))
+
+
+cli_specs = st.recursive(
+    _leaf_specs(),
+    lambda child: st.one_of(
+        st.builds(lambda c: {"type": "complement", "of": c}, child),
+        st.builds(lambda t, cs: {"type": t, "of": cs},
+                  st.sampled_from(["union", "intersect"]),
+                  st.lists(child, min_size=1, max_size=2))),
+    max_leaves=3)
+
+
+@given(spec=cli_specs, cmd=st.sampled_from(["count", "maxones", "entropy"]),
+       ns=st.lists(st.integers(min_value=0, max_value=40), min_size=1,
+                   max_size=3),
+       horizon=st.one_of(st.none(), st.integers(min_value=-1, max_value=45)),
+       budget=st.integers(min_value=-2, max_value=1000))
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_cli_contract_on_small_inputs(spec, cmd, ns, horizon, budget):
+    argv = ["lang", cmd, "--spec", json.dumps(spec), "--budget", str(budget)]
+    if cmd == "entropy":
+        argv += ["--n-grid", ",".join(map(str, ns))]
+    else:
+        argv += ["--n", str(ns[0])]
+    if horizon is not None:
+        argv += ["--horizon", str(horizon)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code:
+        assert isinstance(json.loads(err.getvalue()), dict)
