@@ -39,20 +39,22 @@ def _print_error(kind: str, message: str, **extra) -> None:
 
 
 def _load_spec(text: str) -> PSetSpec:
-    stripped = text.strip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError as err:
-            raise SpecError(f"inline spec is not valid JSON: {err}") from None
+    source = text.strip()
+    if source.startswith("{"):
+        what = "inline spec"
     else:
         if not os.path.exists(text):
             raise ValidationError(f"spec file not found: {text}")
+        what = "spec file"
         with open(text, "r", encoding="utf-8") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise SpecError(f"spec file is not valid JSON: {err}") from None
+            source = fh.read()
+    try:
+        obj = json.loads(source)
+    except json.JSONDecodeError as err:
+        raise SpecError(f"{what} is not valid JSON: {err}") from None
+    except RecursionError:
+        # the decoder recurses once per nesting level
+        raise SpecError(f"{what} is nested too deeply to decode") from None
     return parse_spec(obj)
 
 

@@ -14,7 +14,7 @@ Searches carry an explicit node budget; running out raises
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, pairwise
 from typing import Optional, Sequence, Tuple
 
 from .errors import BudgetError, ValidationError
@@ -84,13 +84,32 @@ def finite_sums(values: Sequence[int]) -> list:
     return sorted(out)
 
 
+def _increasing_within(values: object, horizon: int) -> bool:
+    # a strictly increasing tuple of integers spanning at most the
+    # horizon: then every pairwise difference lies in [1..horizon]
+    return (isinstance(values, tuple)
+            and all(isinstance(v, int) for v in values)
+            and all(a < b for a, b in pairwise(values))
+            and (not values or values[-1] - values[0] <= horizon))
+
+
 def verify_witness(witness: StructureWitness, view: PSetView) -> bool:
-    """Re-check a certificate by direct membership arithmetic."""
+    """Re-check a certificate by direct membership arithmetic.
+
+    A delta chain that is a strictly increasing tuple of integers inside
+    the horizon is checked pair by pair in the view's table; any other
+    payload goes through :func:`member`, which raises
+    :class:`ValidationError` on a difference outside [1..H].
+    """
     kind = witness.kind
     if kind == "delta_chain":
         chain = witness.payload
-        return all(member(view, big - small)
-                   for small, big in combinations(chain, 2))
+        pairs = combinations(chain, 2)
+        if _increasing_within(chain, view.horizon):
+            # every difference is an integer in [1..H]: read the table
+            table = view.table
+            return all(table[big - small] for small, big in pairs)
+        return all(member(view, big - small) for small, big in pairs)
     if kind == "ip_generator":
         return all(member(view, s) for s in finite_sums(witness.payload))
     if kind == "ip_ip_generator":

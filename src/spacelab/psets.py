@@ -6,7 +6,11 @@ and boolean combinations of those.  Trees parse from and serialize to
 tagged JSON, validate with a path to the offending node, and materialize
 over a horizon [1..H] as an integer bitmask (bit n-1 set iff n is a
 member), with a byte table alongside for constant-time lookups.
-Densities are always exact rationals.
+Builders mark members in a byte buffer and convert it to the bitmask in
+one O(H) step, because setting one bit of an H-bit int costs O(H / 64);
+only the squares, √H of them, set their bits directly.  Densities are
+always exact rationals, and the extremes among them are found by
+integer cross-multiplication.
 
 Conventions: N starts at 1.  Word positions elsewhere in the package are
 0-based; the difference of two positions is the 1-based number looked up
@@ -20,7 +24,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 from operator import sub
 from typing import Optional, Sequence
 
@@ -61,12 +65,22 @@ def _tuple(value: object) -> object:
     return tuple(value)
 
 
+_FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask_from_flags(flags: bytearray) -> int:
+    # flags[i] is 1 iff i + 1 is a member; the inverse of PSetView.table,
+    # in O(len(flags)) where OR-ing single bits into an int is quadratic
+    # (base 2 is exempt from the int digit limit)
+    return int(flags.translate(_FLAG_DIGITS)[::-1] or b"0", 2)
+
+
 def _mask_from(values, horizon: int) -> int:
-    mask = 0
+    flags = bytearray(horizon)
     for v in values:
         if 1 <= v <= horizon:
-            mask |= 1 << (v - 1)
-    return mask
+            flags[v - 1] = 1
+    return _mask_from_flags(flags)
 
 
 class PSetSpec:
@@ -129,7 +143,9 @@ class Multiples(PSetSpec):
         return {"type": "multiples", "k": self.k}
 
     def _bits(self, horizon: int) -> int:
-        return _mask_from(range(self.k, horizon + 1, self.k), horizon)
+        flags = bytearray(horizon)
+        flags[self.k - 1::self.k] = b"\1" * (horizon // self.k)
+        return _mask_from_flags(flags)
 
 
 @dataclass(frozen=True)
@@ -278,15 +294,16 @@ class Bohr(PSetSpec):
         # is decided by cross-multiplying
         lo_num, lo_den = lo.numerator * q, lo.denominator
         hi_num, hi_den = hi.numerator * q, hi.denominator
-        mask = 0
+        flags = bytearray(horizon)
         r = 0
-        for n in range(1, horizon + 1):
+        for i in range(horizon):
+            # r belongs to n = i + 1
             r += p
             if r >= q:
                 r -= q
             if lo_num < r * lo_den and r * hi_den < hi_num:
-                mask |= 1 << (n - 1)
-        return mask
+                flags[i] = 1
+        return _mask_from_flags(flags)
 
 
 @dataclass(frozen=True)
@@ -374,6 +391,13 @@ _KINDS = {
 }
 
 
+# the deepest node a parsed description may have (the root is level 1);
+# parsing, validation, materialization and JSON encoding all recurse per
+# level, and this keeps each of them far inside Python's default
+# recursion limit
+MAX_SPEC_DEPTH = 100
+
+
 def parse_spec(obj: object, path: str = "") -> PSetSpec:
     """Parse the tagged JSON wire format into a description tree.
 
@@ -389,8 +413,16 @@ def parse_spec(obj: object, path: str = "") -> PSetSpec:
     PSetSpec
         The parsed and validated tree.  Structural problems raise
         :class:`SpecError` naming the offending node; an unknown tag is a
-        hard error.
+        hard error, and so is nesting deeper than ``MAX_SPEC_DEPTH``
+        levels.
     """
+    return _parse_node(obj, path, 1)
+
+
+def _parse_node(obj: object, path: str, level: int) -> PSetSpec:
+    if level > MAX_SPEC_DEPTH:
+        raise SpecError(f"spec nested deeper than {MAX_SPEC_DEPTH} levels",
+                        path)
     if not isinstance(obj, dict):
         raise SpecError("spec node must be a JSON object", path)
     if "type" not in obj:
@@ -403,13 +435,14 @@ def parse_spec(obj: object, path: str = "") -> PSetSpec:
     fields = {field: obj[key] for key, field in wire.items()}
     of_path = _child(path, "of")
     if "of" in fields:
-        fields["of"] = parse_spec(obj["of"], of_path)
+        fields["of"] = _parse_node(obj["of"], of_path, level + 1)
     if "parts" in fields:
         parts = obj["of"]
         if not isinstance(parts, list) or not parts:
             raise SpecError("'of' must be a nonempty list", of_path)
-        fields["parts"] = tuple(parse_spec(part, _child(of_path, i))
-                                for i, part in enumerate(parts))
+        fields["parts"] = tuple(
+            _parse_node(part, _child(of_path, i), level + 1)
+            for i, part in enumerate(parts))
     spec = cls(**fields)
     spec.validate(path)
     return spec
@@ -519,6 +552,12 @@ def density_report(view: PSetView, window_grid: Sequence[int],
                    n0: Optional[int] = None) -> DensityReport:
     """Compute the four density notions of the profile exactly.
 
+    Runs in O(H * (1 + len(window_grid))) and no float decides
+    anything.  The tail extremes are found on a second streamed pass
+    over the prefix counts, comparing count/n as integer cross-products;
+    each reported extreme is the rational already in
+    ``prefix_densities`` (at the least n >= n0 where it occurs).
+
     Parameters
     ----------
     view : PSetView
@@ -545,9 +584,17 @@ def density_report(view: PSetView, window_grid: Sequence[int],
     table = view.table
     prefix = tuple((n, Fraction(count, n))
                    for n, count in enumerate(accumulate(table[1:]), 1))
-    tail = [d for _, d in prefix[n0 - 1:]]
+    # c/n < c'/n' iff c * n' < c' * n; no list of H counts is kept
+    tail = zip(range(n0, H + 1), islice(accumulate(table[1:]), n0 - 1, None))
+    lo_n, lo_count = hi_n, hi_count = next(tail)
+    for n, count in tail:
+        if count * lo_n < lo_count * n:
+            lo_n, lo_count = n, count
+        elif count * hi_n > hi_count * n:
+            hi_n, hi_count = n, count
     banach = tuple((w, Fraction(_max_window_count(table, w), w))
                    for w in grid)
     return DensityReport(horizon=H, n0=n0, prefix_densities=prefix,
-                         lower_est=min(tail), upper_est=max(tail),
+                         lower_est=prefix[lo_n - 1][1],
+                         upper_est=prefix[hi_n - 1][1],
                          banach_profile=banach)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from spacelab.cli import main
+from spacelab.psets import MAX_SPEC_DEPTH
 
 
 M2 = '{"type":"multiples","k":2}'
@@ -113,6 +114,48 @@ def test_spec_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "lang", "count", "--spec",
                            '{"type":"mystery"}', "--n", "3")
     assert code == 2
+    assert json.loads(err)["error"]["type"] == "spec"
+
+
+def nested_spec(levels, kind):
+    """JSON text of `levels` nested nodes around the multiples of 2, built
+    as text so that writing it needs no recursion."""
+    if kind == "complement":
+        opener, closer = '{"type":"complement","of":', "}"
+    else:
+        opener, closer = f'{{"type":"{kind}","of":[', "]}"
+    return opener * (levels - 1) + M2 + closer * (levels - 1)
+
+
+def spec_argument(text, source, tmp_path):
+    if source == "inline":
+        return text
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("source", ["inline", "file"])
+@pytest.mark.parametrize("kind, count", [("complement", "6"),
+                                         ("union", "5")])
+def test_spec_at_the_nesting_cap(capsys, tmp_path, source, kind, count):
+    spec = spec_argument(nested_spec(MAX_SPEC_DEPTH, kind), source, tmp_path)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "lang", "count", "--spec", spec,
+                             "--n", "3", "--out", str(out_dir))
+    assert (code, out, err) == (0, f"{count}\n", "")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["count.json",
+                                                          "manifest.json"]
+
+
+@pytest.mark.parametrize("source", ["inline", "file"])
+@pytest.mark.parametrize("levels", [MAX_SPEC_DEPTH + 1, 1200])
+def test_spec_nested_too_deeply(capsys, tmp_path, source, levels):
+    spec = spec_argument(nested_spec(levels, "complement"), source, tmp_path)
+    code, out, err = run_cli(capsys, "lang", "count", "--spec", spec,
+                             "--n", "3")
+    assert code == 2
+    assert out == ""
     assert json.loads(err)["error"]["type"] == "spec"
 
 

@@ -132,6 +132,31 @@ def test_verify_witness_rejects_bad(m2_view):
     assert verify_witness(good, m2_view)
 
 
+@pytest.mark.parametrize("payload, expected", [
+    ((), True),
+    ((4,), True),
+    ((1, 3, 5), True),
+    ((1, 2), False),
+    ((1, 11), True),  # the difference 10 is the horizon itself
+    ((-1, 1), True),  # only differences are looked up
+    ((1, 2, 0), False),  # not increasing, but the pair (1, 2) fails first
+    ((5, 3), ValidationError),  # difference -2
+    ((2, 2), ValidationError),  # difference 0
+    ((1, 3, 3), ValidationError),
+    ((1, 12), ValidationError),  # difference 11 is past the horizon
+    ((1.0, 3.0), ValidationError),  # differences must be integers
+])
+def test_verify_delta_chain_edge_cases(payload, expected):
+    view = build_pset(Multiples(k=2), 10)
+    witness = StructureWitness(kind="delta_chain", payload=payload,
+                               verified=False)
+    if expected is ValidationError:
+        with pytest.raises(ValidationError):
+            verify_witness(witness, view)
+    else:
+        assert verify_witness(witness, view) is expected
+
+
 def test_syndetic_gap():
     view = build_pset(Squares(), 100)
     report = syndetic_gap(view)

@@ -31,8 +31,8 @@ from spacelab import (
 from spacelab.cli import main
 from spacelab.detect import StructureWitness
 from spacelab.dynamics import random_point
-from spacelab.psets import (Bohr, Complement, Explicit, Intersect, Multiples,
-                            Squares, Union)
+from spacelab.psets import (Bohr, Complement, DeltaOf, DiffSet, Explicit,
+                            FiniteSums, Intersect, Multiples, Squares, Union)
 from conftest import brute_count, brute_max_ones
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -168,11 +168,23 @@ def test_omega_bounds(elems, n):
 # with the byte table or the candidate masks it checks.
 
 @st.composite
+def small_parts(draw):
+    """An explicit or multiples spec and its members up to 30."""
+    if draw(st.booleans()):
+        elems = draw(st.sets(st.integers(min_value=1, max_value=30),
+                             max_size=10))
+        return Explicit(elems=tuple(sorted(elems))), elems
+    k = draw(st.integers(min_value=1, max_value=6))
+    return Multiples(k=k), set(range(k, 31, k))
+
+
+@st.composite
 def small_sets(draw):
     """A small spec, its horizon (from 1) and its members as a set."""
     horizon = draw(st.integers(min_value=1, max_value=24))
-    kind = draw(st.sampled_from(["explicit", "multiples", "co_multiples",
-                                 "squares", "bohr"]))
+    kind = draw(st.sampled_from([
+        "explicit", "multiples", "co_multiples", "big_multiples", "squares",
+        "bohr", "fs", "delta", "diffset", "union", "intersect"]))
     if kind == "explicit":
         elems = draw(st.sets(st.integers(min_value=1, max_value=30),
                              max_size=12))
@@ -188,6 +200,28 @@ def small_sets(draw):
         members = {n for n in range(1, 31)
                    if Fraction(lo, 20) < Fraction(n * a % 1000, 1000)
                    < Fraction(hi, 20)}
+    elif kind == "fs":
+        gens = sorted(draw(st.sets(st.integers(min_value=1, max_value=12),
+                                   min_size=1, max_size=4)))
+        spec = FiniteSums(gens=tuple(gens))
+        members = {sum(combo) for r in range(1, len(gens) + 1)
+                   for combo in itertools.combinations(gens, r)}
+    elif kind in ("delta", "diffset"):
+        seq = tuple(sorted(draw(st.sets(st.integers(min_value=1, max_value=30),
+                                        min_size=1, max_size=6))))
+        spec = DeltaOf(seq=seq) if kind == "delta" else DiffSet(base=seq)
+        members = {b - a for a, b in itertools.combinations(seq, 2)}
+    elif kind in ("union", "intersect"):
+        parts = draw(st.lists(small_parts(), min_size=1, max_size=3))
+        specs, sets = zip(*parts)
+        if kind == "union":
+            spec, members = Union(parts=specs), set().union(*sets)
+        else:
+            spec, members = Intersect(parts=specs), set.intersection(*sets)
+    elif kind == "big_multiples":
+        # k past the horizon: no member inside it
+        k = draw(st.integers(min_value=horizon + 1, max_value=horizon + 5))
+        spec, members = Multiples(k=k), set(range(k, 31, k))
     else:
         k = draw(st.integers(min_value=1, max_value=5))
         members = {n for n in range(1, 31) if n % k == 0}
@@ -319,6 +353,29 @@ def test_scans_and_densities_match_reference(case, data):
         (w, Fraction(max(len([n for n in ps if m < n <= m + w])
                          for m in range(H - w + 1)), w))
         for w in grid)
+
+
+@pytest.mark.parametrize("spec, members", [
+    # every prefix density is 1
+    (Multiples(k=1), set(range(1, 13))),
+    # the maximum 1/2 recurs at every even n
+    (Multiples(k=2), set(range(2, 13, 2))),
+    # the minimum 1/2 recurs at every even n
+    (Complement(of=Multiples(k=2)), set(range(1, 13, 2))),
+    # the empty set: every density is 0
+    (Complement(of=Multiples(k=1)), set()),
+    (Explicit(elems=(1, 3, 4, 9, 10, 11)), {1, 3, 4, 9, 10, 11}),
+], ids=["full", "evens", "odds", "empty", "explicit"])
+def test_density_extremes_with_ties(spec, members):
+    H = 12
+    view = build_pset(spec, H)
+    # n0 runs from 1 to H, so both ends of the cutoff are covered
+    for n0 in range(1, H + 1):
+        report = density_report(view, [1], n0=n0)
+        tail = [Fraction(len([m for m in members if m <= n]), n)
+                for n in range(n0, H + 1)]
+        assert (report.lower_est, report.upper_est) == (min(tail), max(tail))
+        assert type(report.lower_est) is type(report.upper_est) is Fraction
 
 
 # -- the clique searches against brute force ---------------------------------

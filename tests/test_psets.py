@@ -13,6 +13,7 @@ from spacelab import (
     parse_spec,
 )
 from spacelab.psets import (
+    MAX_SPEC_DEPTH,
     Bohr,
     Complement,
     DeltaOf,
@@ -143,6 +144,24 @@ def test_parse_error_paths():
     with pytest.raises(SpecError) as err:
         parse_spec(bad)
     assert "of/1" in str(err.value)
+
+
+def nested(levels):
+    """`levels` nested nodes: complements around the multiples of 2."""
+    obj = {"type": "multiples", "k": 2}
+    for _ in range(levels - 1):
+        obj = {"type": "complement", "of": obj}
+    return obj
+
+
+def test_parse_at_the_nesting_cap():
+    spec = parse_spec(nested(MAX_SPEC_DEPTH))
+    # an odd number of complements leaves the odd numbers
+    assert elements(build_pset(spec, 10)) == [1, 3, 5, 7, 9]
+    assert spec.digest() == parse_spec(spec.to_json()).digest()
+    with pytest.raises(SpecError) as err:
+        parse_spec(nested(MAX_SPEC_DEPTH + 1))
+    assert err.value.path == "/".join(["of"] * MAX_SPEC_DEPTH)
 
 
 def test_validation_rules():
