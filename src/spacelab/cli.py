@@ -46,8 +46,13 @@ def _load_spec(text: str) -> PSetSpec:
         if not os.path.exists(text):
             raise ValidationError(f"spec file not found: {text}")
         what = "spec file"
-        with open(text, "r", encoding="utf-8") as fh:
-            source = fh.read()
+        try:
+            with open(text, "r", encoding="utf-8") as fh:
+                source = fh.read()
+        except UnicodeDecodeError as err:
+            raise SpecError(f"{what} is not UTF-8 text: {err}") from None
+        except OSError as err:
+            raise ValidationError(f"spec file {text}: {err.strerror}") from None
     try:
         obj = json.loads(source)
     except json.JSONDecodeError as err:

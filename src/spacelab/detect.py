@@ -76,12 +76,11 @@ def witness_from_json(obj: dict) -> StructureWitness:
 
 
 def finite_sums(values: Sequence[int]) -> list:
-    """All nonempty subset sums, sorted."""
-    out = set()
-    for r in range(1, len(values) + 1):
-        for combo in combinations(values, r):
-            out.add(sum(combo))
-    return sorted(out)
+    """All distinct nonempty subset sums, sorted."""
+    sums: set = set()
+    for v in values:
+        sums |= {s + v for s in (0, *sums)}  # v alone, or v added
+    return sorted(sums)
 
 
 def _increasing_within(values: object, horizon: int) -> bool:
@@ -191,54 +190,53 @@ def _check_bound(view: PSetView, search_bound: int) -> None:
 
 
 def _find_generator(view: PSetView, depth: int, search_bound: int,
-                    budget: int, check_extension) -> Optional[tuple]:
-    # lexicographic DFS over increasing tuples with sum(A) <= bound;
-    # check_extension(table, sums, a) judges one more element against P
-    table = view.table
+                    budget: int, kind: str) -> Optional[StructureWitness]:
+    # lexicographic DFS over increasing tuples with sum <= bound on a stack
+    # of mask frames (value v is bit W + v): with F = FS(chosen) and
+    # G = F + {0}, a frame holds pos = G, neg = -G and diffs = F - F.  Each
+    # positive value a newly requires must be in P: g + a (IP); +-(a+g-f)
+    # and +-f (IP-IP: with F - F, checked before, all new differences)
+    pairwise = kind == "ip_ip_generator"
+    if depth < 1:
+        raise ValidationError(
+            f"{'IP-IP' if pairwise else 'IP'} generators need depth >= 1")
+    _check_bound(view, search_bound)
+    W = search_bound
+    zero = 1 << W
+    illegal = ~view.bits
     nodes = 0
     chosen: list = []
-
-    def rec(sums: tuple) -> bool:
-        nonlocal nodes
-        remaining = depth - len(chosen) - 1
-        lo = chosen[-1] + 1 if chosen else 1
-        # smallest possible completion uses a, a+1, ..., a+remaining
-        hi = (search_bound - sum(chosen) - remaining * (remaining + 1) // 2)
-        hi = hi // (remaining + 1)
-        for a in range(lo, hi + 1):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetError("generator budget exhausted", nodes)
-            new_sums = check_extension(table, sums, a)
-            if new_sums is None:
-                continue
-            chosen.append(a)
-            if len(chosen) == depth or rec(new_sums):
-                return True
-            chosen.pop()
-        return False
-
-    if rec(()):
-        return tuple(chosen)
-    return None
-
-
-def _extend_ip(table: bytes, sums: tuple, a: int):
-    new = (a,) + tuple(s + a for s in sums)
-    if not all(table[s] for s in new):
-        return None
-    return sums + new
-
-
-def _extend_ip_ip(table: bytes, sums: tuple, a: int):
-    new = (a,) + tuple(s + a for s in sums)
-    merged = sums + new
-    for x in new:
-        for y in merged:
-            d = x - y if x > y else y - x
-            if d and not table[d]:
+    frames = [(zero, zero, 0)]
+    a = 1  # next candidate at the current level
+    while True:
+        pos, neg, diffs = frames[-1]
+        total = pos.bit_length() - 1 - W  # max(G) = sum(chosen)
+        rest = depth - len(chosen)
+        # the least completion a, a + 1, ..., a + rest - 1 must fit
+        if total + rest * a + rest * (rest - 1) // 2 > search_bound:
+            if not chosen:
                 return None
-    return merged
+            frames.pop()
+            a = chosen.pop() + 1
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise BudgetError("generator budget exhausted", nodes)
+        if pairwise:
+            f_pos, f_neg = pos ^ zero, neg ^ zero
+            new = (diffs << a | diffs >> a | f_neg << a | f_pos >> a
+                   | f_pos | f_neg)
+        else:
+            new = pos << a
+        if (new >> (W + 1)) & illegal:
+            a += 1
+            continue
+        chosen.append(a)
+        if len(chosen) == depth:
+            return _certified(view, kind=kind, payload=tuple(chosen),
+                              depth=depth, bound=search_bound)
+        frames.append((pos | pos << a, neg | neg >> a, diffs | new | zero))
+        a += 1
 
 
 def find_ip_generator(view: PSetView, depth: int, search_bound: int,
@@ -247,15 +245,16 @@ def find_ip_generator(view: PSetView, depth: int, search_bound: int,
 
     The bound caps max(FS(A)) = sum(A); every intermediate sum is then
     inside the horizon automatically.
+
+    One node is one candidate a tried as the next element: at each level
+    every a from the previous element + 1 (or 1) upward is tried in
+    increasing order while the least completion a, a + 1, ... still fits
+    the bound.  The distinct sums are kept as a bitmask, so a node costs
+    O(bound / 64) word operations and the search holds O(depth * bound)
+    bits.  Exhaustion raises :class:`BudgetError` with
+    ``nodes == budget + 1``.
     """
-    if depth < 1:
-        raise ValidationError("IP generators need depth >= 1")
-    _check_bound(view, search_bound)
-    found = _find_generator(view, depth, search_bound, budget, _extend_ip)
-    if found is None:
-        return None
-    return _certified(view, kind="ip_generator", payload=found, depth=depth,
-                      bound=search_bound)
+    return _find_generator(view, depth, search_bound, budget, "ip_generator")
 
 
 def find_ip_ip_generator(view: PSetView, depth: int, search_bound: int,
@@ -265,15 +264,12 @@ def find_ip_ip_generator(view: PSetView, depth: int, search_bound: int,
     The sums themselves need not be members, only their differences; a
     depth-1 generator is vacuous (FS has a single element) and returns
     (1,) whenever the bound admits it.
+
+    Nodes, the budget rule and the cost of O(bound / 64) word
+    operations per node are those of :func:`find_ip_generator`.
     """
-    if depth < 1:
-        raise ValidationError("IP-IP generators need depth >= 1")
-    _check_bound(view, search_bound)
-    found = _find_generator(view, depth, search_bound, budget, _extend_ip_ip)
-    if found is None:
-        return None
-    return _certified(view, kind="ip_ip_generator", payload=found,
-                      depth=depth, bound=search_bound)
+    return _find_generator(view, depth, search_bound, budget,
+                           "ip_ip_generator")
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,9 @@ over a horizon [1..H] as an integer bitmask (bit n-1 set iff n is a
 member), with a byte table alongside for constant-time lookups.
 Builders mark members in a byte buffer and convert it to the bitmask in
 one O(H) step, because setting one bit of an H-bit int costs O(H / 64);
-only the squares, √H of them, set their bits directly.  Densities are
-always exact rationals, and the extremes among them are found by
-integer cross-multiplication.
+the squares, √H of them, set their bits directly, and finite sums grow
+by one shift-or per generator.  Densities are exact rationals, and their
+extremes are found by integer cross-multiplication.
 
 Conventions: N starts at 1.  Word positions elsewhere in the package are
 0-based; the difference of two positions is the 1-based number looked up
@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, compress, islice
+from itertools import accumulate, combinations, compress, islice
 from operator import sub
 from typing import Optional, Sequence
 
@@ -191,19 +191,18 @@ class FiniteSums(PSetSpec):
         return {"type": "fs", "gens": list(self.gens)}
 
     def _bits(self, horizon: int) -> int:
-        sums = {0}
+        # bit s is the sum s, bit 0 the empty one; the gens increase
+        limit = (1 << (horizon + 1)) - 1
+        mask = 1
         for g in self.gens:
-            sums |= {s + g for s in sums}
-        sums.discard(0)
-        return _mask_from(sums, horizon)
+            if g > horizon:
+                break
+            mask = (mask | mask << g) & limit
+        return mask >> 1
 
 
 def _pair_differences(values) -> set:
-    out = set()
-    for i, small in enumerate(values):
-        for big in values[i + 1:]:
-            out.add(big - small)
-    return out
+    return {big - small for small, big in combinations(values, 2)}
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,25 @@ def test_spec_error_exit_code(capsys):
     assert json.loads(err)["error"]["type"] == "spec"
 
 
+@pytest.mark.parametrize("option", ["--spec", "--other"])
+@pytest.mark.parametrize("content, kind", [(b"\xff\xfe{}", "spec"),
+                                           (None, "validation")])
+def test_unreadable_spec_file(capsys, tmp_path, option, content, kind):
+    # a file that is not UTF-8, or a directory where a file is expected
+    if content is None:
+        path = tmp_path
+    else:
+        path = tmp_path / "spec.json"
+        path.write_bytes(content)
+    specs = {"--spec": M2, "--other": M2, option: str(path)}
+    code, out, err = run_cli(capsys, "detect", "intersect",
+                             "--spec", specs["--spec"],
+                             "--other", specs["--other"], "--horizon", "10")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == kind
+
+
 def nested_spec(levels, kind):
     """JSON text of `levels` nested nodes around the multiples of 2, built
     as text so that writing it needs no recursion."""

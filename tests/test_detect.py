@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from spacelab import (
@@ -29,6 +31,10 @@ def test_finite_sums():
     assert finite_sums((2, 5)) == [2, 5, 7]
     assert finite_sums((1, 2, 4)) == [1, 2, 3, 4, 5, 6, 7]
     assert finite_sums((3,)) == [3]
+    assert finite_sums((1, 2, 3)) == [1, 2, 3, 4, 5, 6]  # 3 twice
+    assert finite_sums(()) == []
+    assert finite_sums((0,)) == [0]
+    assert finite_sums((-1, 1)) == [-1, 0, 1]
 
 
 def test_delta_chain_squares(squares_view):
@@ -98,6 +104,34 @@ def test_ip_ip_generator(m3_view, full_view):
     assert find_ip_ip_generator(big, 3, 31).payload == (1, 2, 3)
 
 
+def test_ip_ip_generator_work_per_node():
+    # the witness 1..14 is found after 14 nodes; the search must not hold
+    # one finite sum per subset of the generators
+    view = build_pset(Multiples(k=1), 1000)
+    witness = find_ip_ip_generator(view, 14, 1000, budget=20)
+    assert witness.payload == tuple(range(1, 15))
+    assert witness.verified
+
+
+def test_generators_deeper_than_the_stack():
+    # 1 + ... + 30 = 465; with only a few stack frames to spare, the
+    # searches must not need one frame per generator
+    view = build_pset(Multiples(k=1), 465)
+    view.table  # built once per view, before the limit is lowered
+    frame, frames = sys._getframe(), 0
+    while frame is not None:
+        frame, frames = frame.f_back, frames + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + 20)
+    try:
+        ip = find_ip_generator(view, 30, 465)
+        ip_ip = find_ip_ip_generator(view, 30, 465)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ip.payload == ip_ip.payload == tuple(range(1, 31))
+    assert ip.verified and ip_ip.verified
+
+
 def test_depth_validation(m2_view):
     with pytest.raises(ValidationError):
         find_delta_chain(m2_view, 1, 10)
@@ -155,6 +189,47 @@ def test_verify_delta_chain_edge_cases(payload, expected):
             verify_witness(witness, view)
     else:
         assert verify_witness(witness, view) is expected
+
+
+_OUTSIDE = "outside horizon [1..10]"
+
+
+@pytest.mark.parametrize("payload, ip, ip_ip", [
+    ((), True, True),
+    ((2,), True, True),
+    ((2, 2), True, True),  # repeated sums count once
+    ((1, 1), False, False),
+    ((2, 2, 2), True, True),
+    ((0,), "query 0 " + _OUTSIDE, True),
+    ((0, 2), "query 0 " + _OUTSIDE, True),
+    ((-2, 4), "query -2 " + _OUTSIDE, True),
+    ((-2, 2), "query -2 " + _OUTSIDE, True),
+    ((2.0, 4), "query 2.0 " + _OUTSIDE, "query 2.0 " + _OUTSIDE),
+    ((2, 4.0), "query 4.0 " + _OUTSIDE, "query 2.0 " + _OUTSIDE),
+    ((1.5,), "query 1.5 " + _OUTSIDE, True),
+    ((4, 8), "query 12 " + _OUTSIDE, True),  # sum past the horizon
+    ((6, 8), "query 14 " + _OUTSIDE, True),
+    ((2, 12), "query 12 " + _OUTSIDE, "query 12 " + _OUTSIDE),
+    ((10,), True, True),
+    ((12,), "query 12 " + _OUTSIDE, True),
+    ((2, 3, 8), False, False),
+    ((4, 2), True, True),  # not increasing
+    ((True,), False, True),
+    ((2, True), False, False),
+])
+def test_verify_generator_edge_cases(payload, ip, ip_ip):
+    # membership is asked of the sorted distinct sums (IP) or of their
+    # pairwise differences (IP-IP), so the first bad one names the error
+    view = build_pset(Multiples(k=2), 10)
+    for kind, expected in (("ip_generator", ip), ("ip_ip_generator", ip_ip)):
+        witness = StructureWitness(kind=kind, payload=payload,
+                                   verified=False)
+        if isinstance(expected, str):
+            with pytest.raises(ValidationError) as err:
+                verify_witness(witness, view)
+            assert str(err.value) == "membership " + expected
+        else:
+            assert verify_witness(witness, view) is expected
 
 
 def test_syndetic_gap():

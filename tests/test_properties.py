@@ -19,6 +19,7 @@ from spacelab import (
     entropy_profile,
     find_delta_chain,
     find_ip_generator,
+    find_ip_ip_generator,
     finite_sums,
     greedy_point,
     is_admissible,
@@ -272,6 +273,69 @@ def ref_chain(ps, depth, bound, budget):
     except BudgetError as exc:
         return ("budget", exc.nodes)
     return ("chain", found) if found else ("none",)
+
+
+def ref_generator(ps, depth, bound, budget, pairwise):
+    """Least increasing tuple of `depth` numbers with sum <= bound whose
+    finite sums (IP) or positive differences of finite sums (IP-IP) lie
+    in ps, by depth-first search in lexicographic order with one node per
+    candidate tried; returns ("found", tuple), ("none",) or ("budget",
+    nodes)."""
+    nodes = 0
+
+    def good(gens):
+        sums = {sum(c) for r in range(1, len(gens) + 1)
+                for c in itertools.combinations(gens, r)}
+        if pairwise:
+            return all(u - v in ps for u in sums for v in sums if u > v)
+        return sums <= ps
+
+    def rec(chosen):
+        nonlocal nodes
+        if len(chosen) == depth:
+            return chosen
+        rest = depth - len(chosen)
+        a = chosen[-1] + 1 if chosen else 1
+        # the least completion is a, a + 1, ..., a + rest - 1
+        while sum(chosen) + rest * a + rest * (rest - 1) // 2 <= bound:
+            nodes += 1
+            if nodes > budget:
+                raise BudgetError("reference budget", nodes)
+            if good(chosen + (a,)):
+                found = rec(chosen + (a,))
+                if found:
+                    return found
+            a += 1
+        return None
+
+    try:
+        found = rec(())
+    except BudgetError as exc:
+        return ("budget", exc.nodes)
+    return ("found", found) if found else ("none",)
+
+
+@given(case=small_sets(), depth=st.integers(min_value=1, max_value=6),
+       pairwise=st.booleans(), data=st.data())
+@SETTINGS
+def test_generator_searches_match_reference(case, depth, pairwise, data):
+    view, ps = case
+    bound = data.draw(st.integers(min_value=1, max_value=view.horizon))
+    budget = data.draw(st.one_of(st.integers(min_value=0, max_value=50),
+                                 st.just(10 ** 7)))
+    search = find_ip_ip_generator if pairwise else find_ip_generator
+    expected = ref_generator(ps, depth, bound, budget, pairwise)
+    if expected[0] == "budget":
+        with pytest.raises(BudgetError) as exc:
+            search(view, depth, bound, budget=budget)
+        assert exc.value.nodes == expected[1] == budget + 1
+        return
+    witness = search(view, depth, bound, budget=budget)
+    if expected[0] == "none":
+        assert witness is None
+    else:
+        assert witness.payload == expected[1]
+        assert witness.verified
 
 
 @given(case=small_sets())

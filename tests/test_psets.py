@@ -59,6 +59,9 @@ def test_finite_sums_set():
     assert elements(view) == [2, 5, 7]
     view2 = build_pset(FiniteSums(gens=(1, 2, 4)), 30)
     assert elements(view2) == [1, 2, 3, 4, 5, 6, 7]
+    # sums past the horizon are cut; so is a generator past it
+    view3 = build_pset(FiniteSums(gens=(4, 5, 6, 10 ** 30)), 10)
+    assert elements(view3) == [4, 5, 6, 9, 10]
 
 
 def test_delta_of_sequence():
