@@ -83,38 +83,49 @@ def finite_sums(values: Sequence[int]) -> list:
     return sorted(sums)
 
 
-def _increasing_within(values: object, horizon: int) -> bool:
-    # a strictly increasing tuple of integers spanning at most the
-    # horizon: then every pairwise difference lies in [1..horizon]
-    return (isinstance(values, tuple)
+def _differences_in(values: object, view: PSetView) -> bool:
+    # whether big - small is in P for every two entries of `values`,
+    # taken in the order given
+    if not (values and isinstance(values, tuple)
             and all(isinstance(v, int) for v in values)
             and all(a < b for a, b in pairwise(values))
-            and (not values or values[-1] - values[0] <= horizon))
+            and values[-1] - values[0] <= view.horizon):
+        return all(member(view, big - small)
+                   for small, big in combinations(values, 2))
+    # every difference is an integer in [1..H]: OR the set of values,
+    # shifted down to 0, over each of its own shifts, so that bit d is
+    # set iff d is a difference, and read each one once in the table
+    lo = values[0]
+    mask = sum(1 << (v - lo) for v in values)
+    diffs = 0
+    for v in values:
+        diffs |= mask >> (v - lo)
+    table = view.table
+    flags = format(diffs, "b")[::-1]
+    d = flags.find("1", 1)
+    while d > 0:
+        if not table[d]:
+            return False
+        d = flags.find("1", d + 1)
+    return True
 
 
 def verify_witness(witness: StructureWitness, view: PSetView) -> bool:
     """Re-check a certificate by direct membership arithmetic.
 
-    A delta chain that is a strictly increasing tuple of integers inside
-    the horizon is checked pair by pair in the view's table; any other
-    payload goes through :func:`member`, which raises
+    A delta chain, or the sorted finite sums of an IP-IP generator, that
+    is a strictly increasing tuple of integers inside the horizon has
+    each distinct positive difference read once in the view's table; any
+    other payload goes through :func:`member` pair by pair, which raises
     :class:`ValidationError` on a difference outside [1..H].
     """
     kind = witness.kind
     if kind == "delta_chain":
-        chain = witness.payload
-        pairs = combinations(chain, 2)
-        if _increasing_within(chain, view.horizon):
-            # every difference is an integer in [1..H]: read the table
-            table = view.table
-            return all(table[big - small] for small, big in pairs)
-        return all(member(view, big - small) for small, big in pairs)
+        return _differences_in(witness.payload, view)
     if kind == "ip_generator":
         return all(member(view, s) for s in finite_sums(witness.payload))
     if kind == "ip_ip_generator":
-        sums = finite_sums(witness.payload)
-        return all(member(view, big - small)
-                   for small, big in combinations(sums, 2))
+        return _differences_in(tuple(finite_sums(witness.payload)), view)
     if kind == "intersective_hit":
         if witness.pair is None:
             return False
@@ -193,9 +204,10 @@ def _find_generator(view: PSetView, depth: int, search_bound: int,
                     budget: int, kind: str) -> Optional[StructureWitness]:
     # lexicographic DFS over increasing tuples with sum <= bound on a stack
     # of mask frames (value v is bit W + v): with F = FS(chosen) and
-    # G = F + {0}, a frame holds pos = G, neg = -G and diffs = F - F.  Each
-    # positive value a newly requires must be in P: g + a (IP); +-(a+g-f)
-    # and +-f (IP-IP: with F - F, checked before, all new differences)
+    # G = F + {0}, a frame holds pos = G, and for IP-IP also neg = -G and
+    # diffs = F - F.  Each positive value a newly requires must be in P:
+    # g + a (IP); +-(a+g-f) and +-f (IP-IP: with F - F, checked before,
+    # all new differences)
     pairwise = kind == "ip_ip_generator"
     if depth < 1:
         raise ValidationError(
@@ -206,10 +218,10 @@ def _find_generator(view: PSetView, depth: int, search_bound: int,
     illegal = ~view.bits
     nodes = 0
     chosen: list = []
-    frames = [(zero, zero, 0)]
+    frames = [(zero, zero, 0) if pairwise else (zero,)]
     a = 1  # next candidate at the current level
     while True:
-        pos, neg, diffs = frames[-1]
+        pos = frames[-1][0]
         total = pos.bit_length() - 1 - W  # max(G) = sum(chosen)
         rest = depth - len(chosen)
         # the least completion a, a + 1, ..., a + rest - 1 must fit
@@ -223,6 +235,7 @@ def _find_generator(view: PSetView, depth: int, search_bound: int,
         if nodes > budget:
             raise BudgetError("generator budget exhausted", nodes)
         if pairwise:
+            _, neg, diffs = frames[-1]
             f_pos, f_neg = pos ^ zero, neg ^ zero
             new = (diffs << a | diffs >> a | f_neg << a | f_pos >> a
                    | f_pos | f_neg)
@@ -235,7 +248,8 @@ def _find_generator(view: PSetView, depth: int, search_bound: int,
         if len(chosen) == depth:
             return _certified(view, kind=kind, payload=tuple(chosen),
                               depth=depth, bound=search_bound)
-        frames.append((pos | pos << a, neg | neg >> a, diffs | new | zero))
+        frames.append((pos | pos << a, neg | neg >> a, diffs | new | zero)
+                      if pairwise else (pos | pos << a,))
         a += 1
 
 
@@ -250,9 +264,9 @@ def find_ip_generator(view: PSetView, depth: int, search_bound: int,
     every a from the previous element + 1 (or 1) upward is tried in
     increasing order while the least completion a, a + 1, ... still fits
     the bound.  The distinct sums are kept as a bitmask, so a node costs
-    O(bound / 64) word operations and the search holds O(depth * bound)
-    bits.  Exhaustion raises :class:`BudgetError` with
-    ``nodes == budget + 1``.
+    O(bound / 64) word operations and the search holds one mask of
+    O(bound) bits per level.  Exhaustion raises :class:`BudgetError`
+    with ``nodes == budget + 1``.
     """
     return _find_generator(view, depth, search_bound, budget, "ip_generator")
 
@@ -266,7 +280,9 @@ def find_ip_ip_generator(view: PSetView, depth: int, search_bound: int,
     (1,) whenever the bound admits it.
 
     Nodes, the budget rule and the cost of O(bound / 64) word
-    operations per node are those of :func:`find_ip_generator`.
+    operations per node are those of :func:`find_ip_generator`; the
+    search holds three masks of O(bound) bits per level (the sums, their
+    negatives and their differences).
     """
     return _find_generator(view, depth, search_bound, budget,
                            "ip_ip_generator")

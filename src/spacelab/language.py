@@ -3,12 +3,14 @@
 A length-n word is admissible when every pairwise difference of its
 1-positions is a member of P; equivalently its 1-positions form a clique
 in the distance graph on {0..n-1} with edges |i-j| in P.  That graph is
-translation invariant, which both searches below exploit.
+invariant under translation and under reflection i -> n-1-i, which the
+searches below exploit.
 
 Two counters are kept deliberately separate: a naive oracle that walks
 all 2^n subsets and checks pairwise differences directly, and a clique
-counter whose memo is keyed on candidate masks shifted down to bit 0, so
-that translates share one entry.  Tests require the two to agree exactly.
+counter whose memo is keyed on candidate masks up to translation and
+reflection, so that translates and mirror images share one entry.  Tests
+require the two to agree exactly.
 """
 
 from __future__ import annotations
@@ -111,23 +113,43 @@ def _count_naive(view: PSetView, n: int) -> int:
 
 def _count_cliques(bits: int, n: int, budget: int, memo: dict) -> int:
     # f(A) = cliques inside the candidate mask A, the empty one included,
-    # depends only on A shifted down to bit 0 (the graph is translation
-    # invariant), so the memo is keyed that way.  Split on the lowest
-    # vertex 0: f(A) = f(A - {0}) + f((A >> 1) & bits), each side shifted
-    # down again.  The seeded memo[0] == 1 is not a node; later entries are.
+    # depends only on A up to translation and reflection (the graph is
+    # invariant under both), so the memo is keyed on the smaller of A
+    # shifted down to bit 0 and its mirror over its own span, and that
+    # representative is the one expanded.  Split on its lowest vertex 0:
+    # f(A) = f(A - {0}) + f((A >> 1) & bits), each side shifted down
+    # again.  A state carries its mirror M, so no mask is reversed: with
+    # h the top bit of A, the mirror of A - {0} is M - {h}, and that of
+    # the neighbours of 0 is M & rrow[h], shifted down.  The seeded
+    # memo[0] == 1 is not a node; later entries are.
     root = (1 << n) - 1
+    if root in memo:
+        return memo[root]
+    # rev has bit n - d set iff d in P (0 < d < n); rrow[h] has bit i set
+    # iff h - i in P, for 0 <= i < h
+    rev = int(format(bits & (root >> 1), f"0{n - 1}b")[::-1], 2) << 1
+    rrow = [rev >> (n - h) for h in range(n)]
     get = memo.get
-    stack = [root] if root not in memo else []
+    stack = [(root, root)]  # each state as (key, mirror), key <= mirror
     while stack:
-        a = stack[-1]
+        a, m = stack[-1]
+        h = a.bit_length() - 1
         rest = a >> 1
-        sub = rest >> ((rest & -rest).bit_length() - 1) if rest else 0
-        without = get(sub)
+        if rest:
+            sub = rest >> ((rest & -rest).bit_length() - 1)
+            sub_m = m ^ (1 << h)
+        else:
+            sub = sub_m = 0
+        without = get(sub if sub < sub_m else sub_m)
         if without is not None:
             sub = rest & bits
             if sub:
                 sub >>= (sub & -sub).bit_length() - 1
-            with_0 = get(sub)
+                sub_m = m & rrow[h]
+                sub_m >>= (sub_m & -sub_m).bit_length() - 1
+            else:
+                sub_m = 0
+            with_0 = get(sub if sub < sub_m else sub_m)
             if with_0 is not None:
                 memo[a] = without + with_0
                 stack.pop()
@@ -135,7 +157,7 @@ def _count_cliques(bits: int, n: int, budget: int, memo: dict) -> int:
                     raise BudgetError("word-count budget exhausted",
                                       len(memo) - 1)
                 continue
-        stack.append(sub)
+        stack.append((sub, sub_m) if sub < sub_m else (sub_m, sub))
     return memo[root]
 
 
@@ -153,13 +175,14 @@ def count_words(view: PSetView, n: int, mode: str = "optimized",
     mode : {"naive", "optimized"}
         ``naive`` enumerates all 2^n subsets and checks differences
         directly; ``optimized`` counts cliques with a memo keyed on
-        candidate masks shifted down to bit 0.  The two must agree
-        exactly.
+        candidate masks up to translation and reflection.  The two must
+        agree exactly.
     budget : int
         Node cap for optimized mode.  A node is one memo entry added (a
-        distinct nonempty shifted mask), so the budget also caps the
-        memo.  Exhaustion raises :class:`BudgetError` with ``nodes ==
-        budget + 1``; a partial count is never returned.
+        distinct nonempty candidate mask up to translation and
+        reflection), so the budget also caps the memo.  Exhaustion
+        raises :class:`BudgetError` with ``nodes == budget + 1``; a
+        partial count is never returned.
     """
     return _count_words(view, n, mode, budget, {0: 1})
 

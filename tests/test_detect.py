@@ -113,6 +113,19 @@ def test_ip_ip_generator_work_per_node():
     assert witness.verified
 
 
+def test_ip_ip_recheck_at_depth_60():
+    # FS(1..60) = 1..1830: 1.7 million pairs of sums but only 1829
+    # distinct differences, each read once; 1829 is the largest
+    view = build_pset(Multiples(k=1), 1830)
+    witness = find_ip_ip_generator(view, 60, 1830)
+    assert witness.payload == tuple(range(1, 61))
+    assert witness.verified
+    holed = build_pset(Complement(of=Explicit(elems=(1829,))), 1830)
+    assert not verify_witness(witness, holed)
+    assert verify_witness(witness, build_pset(
+        Complement(of=Explicit(elems=(1830,))), 1830))
+
+
 def test_generators_deeper_than_the_stack():
     # 1 + ... + 30 = 465; with only a few stack frames to spare, the
     # searches must not need one frame per generator

@@ -100,6 +100,16 @@ def test_count_budget():
     assert err.value.nodes > 10
 
 
+def test_count_budget_boundary_frozen():
+    # the memo of co_squares at n = 56 holds 63,332 entries, each keyed
+    # up to translation and reflection; one fewer is "don't know"
+    view = build_pset(Complement(of=Squares()), 56)
+    with pytest.raises(BudgetError) as err:
+        count_words(view, 56, budget=63_331)
+    assert err.value.nodes == 63_332
+    assert count_words(view, 56, budget=63_332) == 24_269_734
+
+
 def test_searches_deeper_than_the_stack():
     view = build_pset(Multiples(k=1), 1500)
     assert count_words(view, 1500) == 2 ** 1500

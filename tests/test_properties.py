@@ -468,21 +468,27 @@ def test_profile_rows_match_standalone_calls(case, data):
 
 
 def ref_memo_entries(ps, n):
-    """Distinct nonempty candidate sets, each shifted to start at 0, that
-    the counter reaches from {0..n-1} by dropping the lowest vertex or by
-    keeping only its neighbours."""
+    """Distinct keys of the nonempty candidate sets that the counter
+    reaches from {0..n-1}.  The key of S is the smaller of S shifted to
+    start at 0 and S mirrored to start at 0, each read as a bitmask; the
+    set that key encodes is expanded by dropping its lowest vertex or by
+    keeping only that vertex's neighbours."""
     seen = set()
     todo = [frozenset(range(n))]
     while todo:
         cand = todo.pop()
-        if not cand or cand in seen:
+        if not cand:
             continue
-        seen.add(cand)
-        low = min(cand)
-        rest = cand - {low}
-        for sub in (rest, {v for v in rest if v - low in ps}):
-            if sub:
-                todo.append(frozenset(v - min(sub) for v in sub))
+        low, high = min(cand), max(cand)
+        key = min(sum(1 << (v - low) for v in cand),
+                  sum(1 << (high - v) for v in cand))
+        if key in seen:
+            continue
+        seen.add(key)
+        rep = [v for v in range(high - low + 1) if key >> v & 1]
+        rest = rep[1:]
+        todo.append(frozenset(rest))
+        todo.append(frozenset(v for v in rest if v in ps))
     return len(seen)
 
 
