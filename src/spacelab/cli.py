@@ -8,7 +8,8 @@ invocations produce byte-identical outputs except for the manifest's
 isolated timestamp field.
 
 Exit codes: 0 success, 2 validation error (including usage errors),
-3 search budget exhausted.  Errors are emitted as JSON on stderr.
+3 "don't know": a search budget ran out or memory did.  Errors are
+emitted as JSON on stderr.
 """
 
 from __future__ import annotations
@@ -484,6 +485,10 @@ def main(argv=None) -> int:
         text, files, params, digests = args.func(args, view)
     except BudgetError as err:
         _print_error("budget", str(err), nodes=err.nodes)
+        return 3
+    except MemoryError:
+        _print_error("memory", "out of memory; try a smaller horizon, "
+                     "window or budget")
         return 3
     except SpecError as err:
         _print_error("spec", str(err), path=err.path)

@@ -10,7 +10,10 @@ Two counters are kept deliberately separate: a naive oracle that walks
 all 2^n subsets and checks pairwise differences directly, and a clique
 counter whose memo is keyed on candidate masks up to translation and
 reflection, so that translates and mirror images share one entry.  Tests
-require the two to agree exactly.
+require the two to agree exactly.  The max-ones search is a
+branch-and-bound over cliques containing 0 that bounds each candidate by
+greedy colour classes.  The counter's mirror step and the colouring both
+read each vertex's lower neighbours from one shared table.
 """
 
 from __future__ import annotations
@@ -111,6 +114,14 @@ def _count_naive(view: PSetView, n: int) -> int:
     return total
 
 
+def _lower_rows(bits: int, n: int) -> list:
+    # row h has bit i set iff h - i in P, for 0 <= i < h: the neighbours
+    # of h below it in the distance graph on {0..n-1}.  rev has bit n - d
+    # set iff d in P (0 < d < n)
+    rev = int(format(bits & ((1 << (n - 1)) - 1), f"0{n - 1}b")[::-1], 2) << 1
+    return [rev >> (n - h) for h in range(n)]
+
+
 def _count_cliques(bits: int, n: int, budget: int, memo: dict) -> int:
     # f(A) = cliques inside the candidate mask A, the empty one included,
     # depends only on A up to translation and reflection (the graph is
@@ -125,10 +136,7 @@ def _count_cliques(bits: int, n: int, budget: int, memo: dict) -> int:
     root = (1 << n) - 1
     if root in memo:
         return memo[root]
-    # rev has bit n - d set iff d in P (0 < d < n); rrow[h] has bit i set
-    # iff h - i in P, for 0 <= i < h
-    rev = int(format(bits & (root >> 1), f"0{n - 1}b")[::-1], 2) << 1
-    rrow = [rev >> (n - h) for h in range(n)]
+    rrow = _lower_rows(bits, n)
     get = memo.get
     stack = [(root, root)]  # each state as (key, mirror), key <= mirror
     while stack:
@@ -202,22 +210,6 @@ def _count_words(view: PSetView, n: int, mode: str, budget: int,
     raise ValidationError(f"unknown mode {mode!r}")
 
 
-def _colors_exceed(allowed: int, rows: list, limit: int) -> bool:
-    # whether greedy coloring of the allowed subgraph in increasing vertex
-    # order, one class at a time, needs more than `limit` classes (the
-    # class count bounds the largest clique from above)
-    while allowed:
-        if limit <= 0:
-            return True
-        limit -= 1
-        cls = allowed
-        while cls:
-            low = cls & -cls
-            allowed ^= low
-            cls = (cls ^ low) & ~rows[low.bit_length() - 1]
-    return False
-
-
 def max_ones(view: PSetView, n: int,
              budget: int = DEFAULT_BUDGET) -> Tuple[int, Configuration]:
     """Largest number of 1s in an admissible length-n word, with witness.
@@ -227,12 +219,23 @@ def max_ones(view: PSetView, n: int,
     contains 0, since shifting a clique down keeps it a clique, so the
     search starts from the clique {0} alone.  It extends cliques by
     vertices in increasing order, so the first maximum clique it reaches
-    is the lexicographic minimum; a greedy coloring bound prunes branches
-    that cannot beat the best size found so far.
+    is the lexicographic minimum.
 
-    Each clique extended is one node and the root {0} is node 1;
-    exhausting ``budget`` raises :class:`BudgetError` with
-    ``nodes == budget + 1``.
+    A frame holds the candidates that extend its clique.  They are
+    coloured greedily from the highest vertex down, one class at a time;
+    the head of a class is its top vertex, and the heads strictly
+    decrease.  The candidates >= v lie in the classes whose head is >= v,
+    so no clique among them is larger than the number of such classes.
+    Candidates are tried in increasing order, so a frame stops as soon as
+    its least untried candidate lies above the head of the last class a
+    clique beating the best size would need.  Classes are coloured only
+    as far as that test asks, and the rest is coloured when the best size
+    grows.
+
+    The bound only prunes: it changes neither the order of the search
+    nor what a node is.  Each clique extended is one node and the root
+    {0} is node 1; exhausting ``budget`` raises :class:`BudgetError`
+    with ``nodes == budget + 1``.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValidationError("window length must be a non-negative integer")
@@ -240,41 +243,62 @@ def max_ones(view: PSetView, n: int,
         raise ValidationError(f"window length {n} exceeds horizon {view.horizon}")
     if n == 0:
         return 0, Configuration(0, ())
+    if budget < 1:
+        raise BudgetError("max-ones budget exhausted", 1)
 
     # rows[v] = positions j > v with j - v in P, as a bitmask
     full = (1 << n) - 1
     rows = [view.after(v) & full for v in range(n)]
-    best_size, best_ones, nodes = 0, (), 0
-    # frame i: the candidates of chosen[:i] and those not yet tried; the
-    # root frame, with no vertex chosen, tries 0 alone
-    chosen = []
-    allowed = [full]
-    untried = [1]
+    # drop[h] clears h and its neighbours below it from a colour class
+    one = [1 << h for h in range(n)]
+    drop = [~(low | bit) for low, bit in zip(_lower_rows(view.bits, n), one)]
+    best_size, best_ones, nodes = 1, (0,), 1
+    # frame i extends chosen[:i + 1]: its candidates not yet tried, those
+    # not yet coloured and the heads of the classes coloured so far
+    chosen = [0]
+    untried = [rows[0]]
+    uncoloured = [rows[0]]
+    heads = [[]]
     while untried:
         rest = untried[-1]
-        # no candidate left can beat the best: each extends by at most rest
-        if len(chosen) + rest.bit_count() <= best_size:
-            untried.pop()
-            allowed.pop()
-            del chosen[-1:]  # nothing to drop at the root frame
-            continue
+        need = best_size - len(chosen) + 1  # classes a better clique needs
+        count = rest.bit_count()
+        hs = heads[-1]
+        # one class always suffices for need 1; past that, colour only if
+        # the cheap popcount test passes
+        if 1 < need <= count and len(hs) < need:
+            left = uncoloured[-1]
+            while left and len(hs) < need:
+                hs.append(left.bit_length() - 1)
+                cls = left
+                while cls:
+                    h = cls.bit_length() - 1
+                    left ^= one[h]
+                    cls &= drop[h]
+            uncoloured[-1] = left
         low = rest & -rest
-        untried[-1] = rest ^ low
         v = low.bit_length() - 1
-        sub = allowed[-1] & rows[v]
-        size = len(chosen) + 1
-        if size + sub.bit_count() <= best_size:
+        if count < need or 1 < need and (len(hs) < need or v > hs[need - 1]):
+            untried.pop()
+            uncoloured.pop()
+            heads.pop()
+            chosen.pop()
+            continue
+        untried[-1] = rest ^ low
+        sub = rest & rows[v]
+        if sub.bit_count() < need - 1:
             continue
         nodes += 1
         if nodes > budget:
             raise BudgetError("max-ones budget exhausted", nodes)
         chosen.append(v)
-        if size > best_size:
-            best_size = size
+        if need == 1:
+            best_size += 1
             best_ones = tuple(chosen)
-        if sub and _colors_exceed(sub, rows, best_size - size):
-            allowed.append(sub)
+        if sub:
             untried.append(sub)
+            uncoloured.append(sub)
+            heads.append([])
         else:
             chosen.pop()
     return best_size, Configuration(n, best_ones)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from spacelab import cli
 from spacelab.cli import main
 from spacelab.psets import MAX_SPEC_DEPTH
 
@@ -84,6 +85,36 @@ def test_budget_exit_code(capsys):
     payload = json.loads(err)
     assert payload["error"]["type"] == "budget"
     assert payload["error"]["nodes"] == 1001
+
+
+def test_memory_error_exit_code(capsys, monkeypatch):
+    def build_pset(spec, horizon):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build_pset", build_pset)
+    code, out, err = run_cli(capsys, "lang", "count", "--spec", M2,
+                             "--n", "3")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "memory"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="address-space limit via setrlimit")
+def test_huge_horizon_under_memory_limit_exits_3():
+    import resource
+
+    def limit_address_space():
+        cap = 800 * 2 ** 20
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "spacelab.cli", "pset", "density", "--spec",
+         M2, "--horizon", "3000000000", "--window-grid", "4"],
+        capture_output=True, text=True, preexec_fn=limit_address_space)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["type"] == "memory"
 
 
 def test_env_budget(capsys, monkeypatch):

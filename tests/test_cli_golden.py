@@ -3,8 +3,8 @@
 Each case runs one small invocation in-process and pins the sha256 of
 stdout, of stderr and of every file written under ``--out``.  The
 manifest is hashed with its timestamp line removed, since that field is
-the only one allowed to vary between runs.  ``corpus run-all`` is left
-to ``test_cli``, which checks its determinism directly.
+the only one allowed to vary between runs.  ``corpus run-all`` is
+pinned the same way; ``test_cli`` checks its determinism directly.
 """
 
 import hashlib
@@ -82,6 +82,7 @@ CASES = {
                    '{"type":"union","of":[{"type":"multiples","k":0}]}',
                    "--n", "3"],
     "error.usage": ["lang", "count", "--spec", M2],
+    "corpus.run-all": ["corpus", "run-all", "--out", OUT],
 }
 
 _TIMESTAMP = re.compile(rb'\n  "timestamp": "[^"]*",')
@@ -110,8 +111,31 @@ def run_case(argv, out_dir):
 
 
 # computed with the command line as it stood before its output path was
-# unified; any change here is a change to the CLI's output bytes
+# unified (corpus.run-all: before max_ones bounded each candidate by
+# colour classes); any change here is a change to the CLI's output bytes
 EXPECTED = {
+    'corpus.run-all': (0, '7164ee404041f226a87bb41324fd2b5a44ed358c70ab5ee05c497a1ab5a0d056',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        {'delta-kills-density.csv': '9e877d57523c9c9fbc18cfdfc3112369c51173dc89bfbeade7ed20567b8d373d',
+         'delta-kills-density.json': '864e9da7118949a3bc6bcc9331371c5be81ede860b61046ca2521c63138d006b',
+         'density-entropy-bound.csv': 'afc68679ed024294d700eae3b38274d13fe8bad1b659f05261ab921d8410f71d',
+         'density-entropy-bound.json': 'd5486d5cf8e364a408526dc9c5d905486e541409b7821bd45674d01902013e0d',
+         'entropy-iff-banach.csv': 'f7007c90ea0acabd71c3369a72a5aa4247e1798f77e168ea06259002c7ae9227',
+         'entropy-iff-banach.json': 'cfe2e2fc9e15a2b772eaab4abe7f80d5aff756997c92195f2bc200becc13c0ae',
+         'high-density-trivial-dynamics.csv': '6b4713c2b7241201bad9834f2ce7654d106c34c409c0857b94a699198d81ac6b',
+         'high-density-trivial-dynamics.json': '69dab05d1fcdfcc4480fe9640d2e3c3772f37b76ec5b3bbc2849c1627aeb1441',
+         'index.json': '7164ee404041f226a87bb41324fd2b5a44ed358c70ab5ee05c497a1ab5a0d056',
+         'manifest.json': 'b6ba2484526a92477664713ec14f464b85480c1862831f7b2c9c2935ae80a450',
+         'positive-entropy-no-periodic.csv': '4aece7eba377674bf9aa00bfedd00ef8a2463402e577478384b4bf443bc68834',
+         'positive-entropy-no-periodic.json': '8e8a1cd7e25647f6c37fdca74fbdbebcfd0b2ae6004dd2670032c8cb21f9afc6',
+         'squares-zero-entropy.csv': '50bd7e88c8ca44cca57db125d6b7258376eacb9ad745629c2fc5d02a6b589bfc',
+         'squares-zero-entropy.json': '7d5b5351141d338e785c3e3aa86b1d62fa4346ecb49098e799260ac0588de402',
+         'transitive-needs-ipip.csv': 'f88f6c55ba51d317ca44b5f29387d3d52b5dab1158ef193dad5ac5594d6d19ee',
+         'transitive-needs-ipip.json': 'b5379ad6440377031ffc6a017e2bd45c47c856dbbc2f6df6a925446204c8e809',
+         'zero-density-zero-entropy.csv': '5f04123edc9777326d6f0e6aff87ca38d1e5c73f9534af39154514eac0f41bc7',
+         'zero-density-zero-entropy.json': '3d45b589f346571fc4e4c384053f91825854903126915f0d70f5b8bc92e58787',
+         'zero-entropy-proximal.csv': '1f8fca702961e16306c2c2d833b59ecc502c24703d6064428b768b94f74761a5',
+         'zero-entropy-proximal.json': '0df20abe8c33663d0a600162acc3dc9a758adb7ee731bb40cf37497c860062ae'}),
     'detect.delta': (0, '7821434422e8ebb116b446814eb32f2faa00f78b6d6cd3514832be58eee2120b',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         {'manifest.json': '3503949797f77c95592a5007d0f8bcf55a5cb9b319d40280597829a2e1aa5a54',

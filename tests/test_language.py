@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from spacelab import (
     find_join_gap,
     greedy_point,
     is_admissible,
+    load_member,
     max_ones,
     transitive_gap_check,
 )
@@ -122,6 +124,40 @@ def test_max_ones_frozen(m2_view, m3_view, co3_view):
     assert config.ones == (0, 3, 6)
     assert max_ones(m2_view, 24)[0] == 12
     assert max_ones(co3_view, 8)[0] == 3
+
+
+# omega and the sha256 of the witness ones joined by commas, computed
+# before max_ones bounded each candidate by colour classes
+MAX_ONES_FROZEN = {
+    ("co_squares", 48): (
+        14, "8482fe24d3dae937d7233faeefffb61ca767ff3a98f0b482eec9960bb8fd674f"),
+    ("co_squares", 64): (
+        16, "8860608d85ec43b675af3968ec3c198de78c3add251b0be7204f1ceb016c65d6"),
+    ("co_squares", 80): (
+        20, "1ed816aa0753ef9b0dcde1c9cd3ff0908315be9419e1110595427eb8e0e654d5"),
+    ("co_multiples_5", 512): (
+        5, "6484c68c0c85987f9beb3db42175c46955a8abe05170239580fcd1ff8b514452"),
+    ("bohr_golden_quarter", 512): (
+        16, "65cfc825a7469faf92a90fdf4baac0d286dab6e70cbb626250d931ee288e6fb4"),
+}
+
+
+@pytest.mark.parametrize("member,n", sorted(MAX_ONES_FROZEN))
+def test_max_ones_corpus_frozen(member, n):
+    omega, config = max_ones(build_pset(load_member(member), n), n)
+    digest = hashlib.sha256(",".join(map(str, config.ones)).encode())
+    assert (omega, digest.hexdigest()) == MAX_ONES_FROZEN[member, n]
+    assert len(config.ones) == omega and config.length == n
+
+
+def test_max_ones_budget_boundary_frozen():
+    # the colour-class search on co_squares at n = 48 extends 376 cliques,
+    # the root {0} included; one fewer is "don't know"
+    view = build_pset(Complement(of=Squares()), 48)
+    with pytest.raises(BudgetError) as err:
+        max_ones(view, 48, budget=375)
+    assert err.value.nodes == 376
+    assert max_ones(view, 48, budget=376)[0] == 14
 
 
 def test_max_ones_matches_brute(co2_view, squares_view):
