@@ -96,16 +96,25 @@ def _json_out(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _json_result(payload: dict, name: str, params: dict, view) -> tuple:
+def _json_result(payload: dict, name: str, params: dict) -> tuple:
     # the common result: JSON on stdout and the same JSON as one file
-    return (_json_out(payload), {name: reports.json_text(payload)}, params,
-            {"spec": view.spec_digest})
+    return _json_out(payload), {name: reports.json_text(payload)}, params
 
 
 # Each handler takes the parsed arguments, with --budget resolved, and the
-# view of --spec (None for commands without one).  It returns
-# (stdout text, {file name: text} for --out, manifest parameters, spec
-# digests); main prints and writes them.
+# view of --spec (None for commands without one).  It returns (stdout
+# text, {file name: text} for --out, its own manifest parameters) and,
+# when it reads more specs than --spec, their digests by name.  main
+# prints and writes them, and adds the fields that every command shares:
+# "horizon" and the "spec" digest when the command has --spec, "budget"
+# when it has --budget.
+
+def _shared_params(args, view) -> dict:
+    params = {} if view is None else {"horizon": view.horizon}
+    if hasattr(args, "budget"):
+        params["budget"] = args.budget
+    return params
+
 
 def _cmd_pset_density(args, view) -> tuple:
     grid = _int_list(args.window_grid, "--window-grid")
@@ -121,13 +130,13 @@ def _cmd_pset_density(args, view) -> tuple:
         ys = [float(d) for _, d in report.prefix_densities]
         files["density.svg"] = reports.svg_line_plot(
             [("prefix", xs, ys)], "prefix density", "n", "density")
-    params = {"horizon": view.horizon, "n0": report.n0, "window_grid": grid}
-    return _json_out(payload), files, params, {"spec": view.spec_digest}
+    return _json_out(payload), files, {"n0": report.n0, "window_grid": grid}
 
 
 def _witness_output(args, witness, view, kind: str, params: dict) -> tuple:
-    obj = ({"kind": kind, "result": "none", **params} if witness is None
-           else witness.to_json())
+    # a search that finds nothing echoes every parameter it ran with
+    obj = (witness.to_json() if witness is not None else
+           {"kind": kind, "result": "none", **params, **_shared_params(args, view)})
     text = _json_out(obj)
     if witness is not None and args.verify:
         echoed = detect.witness_from_json(json.loads(text))
@@ -144,10 +153,8 @@ def _cmd_detect_search(args, view) -> tuple:
         "ipip": (detect.find_ip_ip_generator, "ip_ip_generator"),
     }[args.detect_cmd]
     witness = finder(view, args.depth, args.bound, budget=args.budget)
-    params = {"depth": args.depth, "bound": args.bound, "budget": args.budget,
-              "horizon": view.horizon}
-    text, files = _witness_output(args, witness, view, kind, params)
-    return text, files, params, {"spec": view.spec_digest}
+    params = {"depth": args.depth, "bound": args.bound}
+    return (*_witness_output(args, witness, view, kind, params), params)
 
 
 def _cmd_detect_syndetic(args, view) -> tuple:
@@ -157,23 +164,18 @@ def _cmd_detect_syndetic(args, view) -> tuple:
     else:
         payload = {"interior_gap": report.interior_gap,
                    "censored_tail": report.censored_tail}
-    return _json_result(payload, "syndetic.json",
-                        {"horizon": view.horizon}, view)
+    return _json_result(payload, "syndetic.json", {})
 
 
 def _cmd_detect_thick(args, view) -> tuple:
-    return _json_result({"run": detect.thick_run(view)}, "thick.json",
-                        {"horizon": view.horizon}, view)
+    return _json_result({"run": detect.thick_run(view)}, "thick.json", {})
 
 
 def _cmd_detect_intersect(args, view) -> tuple:
     other = build_pset(_load_spec(args.other), view.horizon)
     witness = detect.intersective_refute(view, other)
-    params = {"horizon": view.horizon}
-    text, files = _witness_output(args, witness, view, "intersective_hit",
-                                  params)
-    return (text, files, params,
-            {"spec": view.spec_digest, "other": other.spec_digest})
+    return (*_witness_output(args, witness, view, "intersective_hit", {}),
+            {}, {"other": other.spec_digest})
 
 
 def _cmd_lang_count(args, view) -> tuple:
@@ -181,9 +183,7 @@ def _cmd_lang_count(args, view) -> tuple:
                                  budget=args.budget)
     payload = {"n": args.n, "mode": args.mode, "count": count}
     return (str(count), {"count.json": reports.json_text(payload)},
-            {"n": args.n, "mode": args.mode, "horizon": view.horizon,
-             "budget": args.budget},
-            {"spec": view.spec_digest})
+            {"n": args.n, "mode": args.mode})
 
 
 def _cmd_lang_entropy(args, view) -> tuple:
@@ -198,27 +198,21 @@ def _cmd_lang_entropy(args, view) -> tuple:
             [("h_n", xs, [r.entropy for r in profile.rows]),
              ("omega/n", xs, [float(r.omega_over_n) for r in profile.rows])],
             "entropy profile", "n", "value")
-    return (csv, files,
-            {"n_grid": grid, "mode": args.mode, "horizon": view.horizon,
-             "budget": args.budget},
-            {"spec": view.spec_digest})
+    return csv, files, {"n_grid": grid, "mode": args.mode}
 
 
 def _cmd_lang_maxones(args, view) -> tuple:
     omega, config = language.max_ones(view, args.n, budget=args.budget)
     payload = {"n": args.n, "omega": omega, "ones": list(config.ones),
                "word": config.word()}
-    return _json_result(payload, "maxones.json",
-                        {"n": args.n, "horizon": view.horizon,
-                         "budget": args.budget}, view)
+    return _json_result(payload, "maxones.json", {"n": args.n})
 
 
 def _cmd_lang_greedy(args, view) -> tuple:
     config = language.greedy_point(view, view.horizon)
     payload = {"horizon": view.horizon, "ones": list(config.ones),
                "word": config.word()}
-    return _json_result(payload, "greedy.json", {"horizon": view.horizon},
-                        view)
+    return _json_result(payload, "greedy.json", {})
 
 
 def _cmd_lang_transitive(args, view) -> tuple:
@@ -230,8 +224,7 @@ def _cmd_lang_transitive(args, view) -> tuple:
                "least_failing": (list(report.least_failing)
                                  if report.least_failing else None)}
     return _json_result(payload, "transitive.json",
-                        {"word_len": args.word_len, "gap_cap": args.gap_cap,
-                         "horizon": view.horizon}, view)
+                        {"word_len": args.word_len, "gap_cap": args.gap_cap})
 
 
 def _points(args, view) -> tuple:
@@ -251,10 +244,7 @@ def _cmd_dyn_fstat(args, view) -> tuple:
         files["fstat.svg"] = reports.svg_line_plot(
             [("F_n", xs, [float(f) for _, f in report.values])],
             "F statistic", "n", "F_n")
-    return (csv, files,
-            {"l": args.l, "n_grid": grid, "x": args.x, "y": args.y,
-             "horizon": view.horizon, "budget": args.budget},
-            {"spec": view.spec_digest})
+    return csv, files, {"l": args.l, "n_grid": grid, "x": args.x, "y": args.y}
 
 
 def _cmd_dyn_proximal(args, view) -> tuple:
@@ -262,9 +252,7 @@ def _cmd_dyn_proximal(args, view) -> tuple:
     m = dynamics.proximal_probe(x, y, args.block)
     payload = {"block": args.block, "m": m, "x": x.label, "y": y.label}
     return _json_result(payload, "proximal.json",
-                        {"block": args.block, "x": args.x, "y": args.y,
-                         "horizon": view.horizon, "budget": args.budget},
-                        view)
+                        {"block": args.block, "x": args.x, "y": args.y})
 
 
 def _cmd_dyn_periodic(args, view) -> tuple:
@@ -275,8 +263,7 @@ def _cmd_dyn_periodic(args, view) -> tuple:
     else:
         payload = {"k": args.k, "point": result.point.config.word(),
                    "admissible": result.point.admissible}
-    return _json_result(payload, "periodic.json",
-                        {"k": args.k, "horizon": view.horizon}, view)
+    return _json_result(payload, "periodic.json", {"k": args.k})
 
 
 def _experiment_files(report, plot: bool) -> dict:
@@ -311,9 +298,7 @@ def _cmd_exp_run(args, view) -> tuple:
     report = experiments.run_experiment(args.experiment_id,
                                         overrides or None, budget=args.budget)
     return (_json_out(report.to_json()), _experiment_files(report, args.plot),
-            {"experiment": args.experiment_id, "budget": args.budget,
-             "overrides": overrides},
-            {})
+            {"experiment": args.experiment_id, "overrides": overrides})
 
 
 def _cmd_corpus_run_all(args, view) -> tuple:
@@ -327,9 +312,7 @@ def _cmd_corpus_run_all(args, view) -> tuple:
     files["index.json"] = reports.json_text(index)
     digests = {name: spec.digest() for name, spec in corpus_mod.iter_corpus()}
     return (_json_out(index), files,
-            {"budget": args.budget,
-             "experiments": list(experiments.EXPERIMENT_IDS)},
-            digests)
+            {"experiments": list(experiments.EXPERIMENT_IDS)}, digests)
 
 
 # Options as (flag, add_argument keywords); the order within a command is
@@ -482,7 +465,10 @@ def main(argv=None) -> int:
         view = _view(args) if hasattr(args, "spec") else None
         if hasattr(args, "budget"):
             args.budget = _resolve_budget(args.budget)
-        text, files, params, digests = args.func(args, view)
+        text, files, params, *extra = args.func(args, view)
+        params.update(_shared_params(args, view))
+        digests = {} if view is None else {"spec": view.spec_digest}
+        digests.update(*extra)
     except BudgetError as err:
         _print_error("budget", str(err), nodes=err.nodes)
         return 3

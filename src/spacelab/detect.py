@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import BudgetError, ValidationError
 from .language import DEFAULT_BUDGET
-from .psets import Bohr, PSetView, member
+from .psets import Bohr, PSetView, build_pset, member
 
 _PAYLOAD_KEYS = {
     "delta_chain": "S",
@@ -376,9 +376,7 @@ class BohrAvoidanceReport:
 def check_bohr_avoidance(view: PSetView, alpha: float,
                          interval: tuple) -> BohrAvoidanceReport:
     """Check whether P contains the candidate Bohr set up to the horizon."""
-    spec = Bohr(alpha, tuple(interval))
-    spec.validate()
-    bohr_bits = spec._bits(view.horizon)
+    bohr_bits = build_pset(Bohr(alpha, interval), view.horizon).bits
     missing = bohr_bits & ~view.bits
     least = (missing & -missing).bit_length() if missing else None
     return BohrAvoidanceReport(

@@ -42,8 +42,8 @@ def zero_point(view: PSetView, horizon: int) -> OrbitPoint:
 
 def random_point(view: PSetView, horizon: int, seed: int) -> OrbitPoint:
     """Seeded admissible point: greedy scan that keeps each legal
-    position with probability 1/2.  Off by default everywhere; exists for
-    exploratory runs only."""
+    position with probability 1/2.  Built for the point names ``random``
+    and ``random:N``, as in ``dyn fstat`` and ``dyn proximal``."""
     rng = random.Random(seed)
     ones = scan_point(view, horizon, keep=lambda: rng.random() < 0.5)
     return _wrap(view, Configuration(horizon, ones), f"random:{seed}")

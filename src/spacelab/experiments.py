@@ -26,8 +26,8 @@ from .detect import (check_bohr_avoidance, find_delta_chain,
 from .dynamics import named_points, periodic_point_check, proximal_probe
 from .errors import BudgetError, ValidationError
 from .language import (Configuration, count_words, greedy_point,
-                       is_admissible, max_ones, transitive_gap_check,
-                       DEFAULT_BUDGET)
+                       is_admissible, max_ones, scan_point,
+                       transitive_gap_check, DEFAULT_BUDGET)
 from .psets import (Complement, DiffSet, Explicit, Multiples, PSetSpec,
                     Squares, build_pset, density_report, parse_spec)
 from .reports import frac_str
@@ -53,12 +53,49 @@ class ExperimentReport:
         }
 
 
+# JSON type names, "integer" apart from other numbers
+_JSON_TYPES = (("boolean", bool), ("integer", int), ("number", float),
+               ("string", str), ("array", list), ("object", dict))
+
+# the parameters that list word or window lengths
+_LENGTH_GRIDS = ("n_grid", "window_grid", "block_grid", "omega_grid")
+
+
+def _json_type(value: object) -> str:
+    return next((name for name, types in _JSON_TYPES
+                 if isinstance(value, types)), "null")
+
+
+def _type_name(default: object) -> str:
+    if isinstance(default, list) and default:
+        return f"array of {_type_name(default[0])}"
+    return _json_type(default)
+
+
+def _conforms(value: object, default: object) -> bool:
+    # an integer passes for a number, and a list's elements must conform
+    # to the default's first element; a null default admits anything
+    got, want = _json_type(value), _json_type(default)
+    if default is not None and got != want and (got, want) != (
+            "integer", "number"):
+        return False
+    return want != "array" or not default or all(
+        _conforms(v, default[0]) for v in value)
+
+
 def _merge(defaults: dict, overrides: Optional[dict]) -> dict:
     params = dict(defaults)
     if overrides:
         unknown = sorted(set(overrides) - set(defaults))
         if unknown:
             raise ValidationError(f"unknown experiment parameters {unknown}")
+        for key, value in overrides.items():
+            if not _conforms(value, defaults[key]):
+                raise ValidationError(f"parameter {key} must be a JSON "
+                                      f"{_type_name(defaults[key])}")
+            if key in _LENGTH_GRIDS and (not value or min(value) < 1):
+                raise ValidationError(f"parameter {key} must be a nonempty "
+                                      "list of integers >= 1")
         params.update(overrides)
     return params
 
@@ -323,29 +360,23 @@ def _exp_squares_zero_entropy(params: dict, budget: int) -> ExperimentReport:
                    notes)
 
 
-def greedy_avoiding(forbidden, horizon: int) -> list:
-    """Greedy S in [1..horizon] whose pairwise differences avoid a set."""
-    banned = set(forbidden)
-    chosen: list = []
-    for n in range(1, horizon + 1):
-        if all(n - s not in banned for s in chosen):
-            chosen.append(n)
-    return chosen
-
-
 def _exp_positive_entropy_no_periodic(params: dict,
                                       budget: int) -> ExperimentReport:
     checks = []
     notes = []
+    s_horizon = params["s_horizon"]
     if params["candidate_set"] is not None:
-        s_set = list(params["candidate_set"])
+        spec = DiffSet(params["candidate_set"])
         notes.append("using user-supplied candidate set")
     else:
-        s_set = greedy_avoiding(params["forbidden"], params["s_horizon"])
+        # the greedy S in [1..s_horizon] whose differences avoid forbidden
+        banned = sorted({d for d in params["forbidden"] if 0 < d < s_horizon})
+        allowed = build_pset(Complement(Explicit(banned)), s_horizon)
+        spec = DiffSet([p + 1 for p in scan_point(allowed, s_horizon)])
         notes.append("using built-in greedy candidate; it is NOT certified "
                      "Bohr-free, see the avoidance reports")
-    spec = DiffSet(tuple(s_set))
-    view = build_pset(spec, params["s_horizon"])
+    view = build_pset(spec, s_horizon)
+    s_set = spec.base
 
     rows = []
     for k in range(1, params["k_max"] + 1):
@@ -354,14 +385,18 @@ def _exp_positive_entropy_no_periodic(params: dict,
                      else result.failing_multiple])
         checks.append((f"no period-{k} point", result.point is None))
 
+    try:
+        floor = Fraction(params["density_floor"])
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError("parameter density_floor must be a rational "
+                              "such as \"1/8\"") from None
     for n in params["omega_grid"]:
         ones = tuple(s - 1 for s in s_set if s <= n)
         config = Configuration(n, ones)
         checks.append((f"candidate window n={n} admissible",
                        is_admissible(config, view)))
         checks.append((f"ones density at n={n} >= {params['density_floor']}",
-                       Fraction(len(ones), n)
-                       >= Fraction(params["density_floor"])))
+                       Fraction(len(ones), n) >= floor))
     omega_probe = params["omega_probe"]
     omega, _ = max_ones(view, omega_probe, budget=budget)
     notes.append(f"exact omega({omega_probe}) = {omega}")
@@ -369,7 +404,7 @@ def _exp_positive_entropy_no_periodic(params: dict,
     bohr_rows = []
     for alpha in params["bohr_alphas"]:
         for window in params["bohr_windows"]:
-            rep = check_bohr_avoidance(view, alpha, tuple(window))
+            rep = check_bohr_avoidance(view, alpha, window)
             bohr_rows.append([alpha, f"{window[0]}..{window[1]}",
                               rep.bohr_size, rep.in_p,
                               "-" if rep.least_missing is None

@@ -2,10 +2,11 @@
 
 A description is a small immutable tree: arithmetic progressions,
 squares, explicit lists, finite subset sums, difference sets, Bohr sets,
-and boolean combinations of those.  Trees parse from and serialize to
-tagged JSON, validate with a path to the offending node, and materialize
-over a horizon [1..H] as an integer bitmask (bit n-1 set iff n is a
-member), with a byte table alongside for constant-time lookups.
+and boolean combinations of those.  Each kind states its tagged-JSON
+keys once, in ``_wire``, and construction, parsing and serialization
+read them there.  Trees validate with a path to the offending node, and
+materialize over a horizon [1..H] as an integer bitmask (bit n-1 set iff
+n is a member), with a byte table alongside for constant-time lookups.
 Builders mark members in a byte buffer and convert it to the bitmask in
 one O(H) step, because setting one bit of an H-bit int costs O(H / 64);
 the squares, √H of them, set their bits directly, and finite sums grow
@@ -86,18 +87,30 @@ def _mask_from(values, horizon: int) -> int:
 class PSetSpec:
     """Abstract base of all set descriptions.
 
-    Concrete subclasses are frozen dataclasses; two descriptions compare
-    equal iff their JSON forms do, and :meth:`digest` is a stable content
-    hash of that JSON.
+    Concrete subclasses are frozen dataclasses that declare their wire
+    format once, in ``_wire`` (JSON key -> field, in JSON order), for
+    construction, :meth:`to_json` and :func:`parse_spec` to read.  Two
+    descriptions compare equal iff their JSON forms do, and :meth:`digest`
+    is a stable content hash of that JSON.
     """
 
     kind = "abstract"
+    _wire = {}
+
+    def __post_init__(self):
+        # list arguments are kept as tuples, so equal specs hash equal
+        for field in self._wire.values():
+            object.__setattr__(self, field, _tuple(getattr(self, field)))
 
     def validate(self, path: str = "") -> None:
-        raise NotImplementedError
+        """Raise SpecError naming the first bad node under `path`; a kind
+        without fields has nothing to check."""
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        obj = {"type": self.kind}
+        for key, field in self._wire.items():
+            obj[key] = _encode(getattr(self, field))
+        return obj
 
     def _bits(self, horizon: int) -> int:
         raise NotImplementedError
@@ -107,22 +120,38 @@ class PSetSpec:
         return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
+def _encode(value: object) -> object:
+    if isinstance(value, PSetSpec):
+        return value.to_json()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+class _IncreasingList(PSetSpec):
+    """A kind given by one strictly increasing list of integers."""
+
+    _min_len = 1
+
+    @property
+    def _values(self) -> tuple:
+        (field,) = self._wire.values()
+        return getattr(self, field)
+
+    def validate(self, path: str = "") -> None:
+        (key,) = self._wire
+        _check_increasing(self._values, _child(path, key), self._min_len)
+
+
 @dataclass(frozen=True)
-class Explicit(PSetSpec):
+class Explicit(_IncreasingList):
     """A finite set given by its sorted element list (may be empty)."""
 
     elems: tuple
 
     kind = "explicit"
-
-    def __post_init__(self):
-        object.__setattr__(self, "elems", _tuple(self.elems))
-
-    def validate(self, path: str = "") -> None:
-        _check_increasing(self.elems, _child(path, "elems"), min_len=0)
-
-    def to_json(self) -> dict:
-        return {"type": "explicit", "elems": list(self.elems)}
+    _wire = {"elems": "elems"}
+    _min_len = 0
 
     def _bits(self, horizon: int) -> int:
         return _mask_from(self.elems, horizon)
@@ -135,12 +164,10 @@ class Multiples(PSetSpec):
     k: int
 
     kind = "multiples"
+    _wire = {"k": "k"}
 
     def validate(self, path: str = "") -> None:
         _check_int(self.k, _child(path, "k"))
-
-    def to_json(self) -> dict:
-        return {"type": "multiples", "k": self.k}
 
     def _bits(self, horizon: int) -> int:
         flags = bytearray(horizon)
@@ -154,12 +181,6 @@ class Squares(PSetSpec):
 
     kind = "squares"
 
-    def validate(self, path: str = "") -> None:
-        pass
-
-    def to_json(self) -> dict:
-        return {"type": "squares"}
-
     def _bits(self, horizon: int) -> int:
         mask = 0
         r = 1
@@ -170,7 +191,7 @@ class Squares(PSetSpec):
 
 
 @dataclass(frozen=True)
-class FiniteSums(PSetSpec):
+class FiniteSums(_IncreasingList):
     """All nonempty subset sums of a finite generator list.
 
     Only finite generator lists are materialized; infinite IP sets are
@@ -180,15 +201,7 @@ class FiniteSums(PSetSpec):
     gens: tuple
 
     kind = "fs"
-
-    def __post_init__(self):
-        object.__setattr__(self, "gens", _tuple(self.gens))
-
-    def validate(self, path: str = "") -> None:
-        _check_increasing(self.gens, _child(path, "gens"), min_len=1)
-
-    def to_json(self) -> dict:
-        return {"type": "fs", "gens": list(self.gens)}
+    _wire = {"gens": "gens"}
 
     def _bits(self, horizon: int) -> int:
         # bit s is the sum s, bit 0 the empty one; the gens increase
@@ -201,50 +214,32 @@ class FiniteSums(PSetSpec):
         return mask >> 1
 
 
-def _pair_differences(values) -> set:
-    return {big - small for small, big in combinations(values, 2)}
+class _Differences(_IncreasingList):
+    """All differences b - a of two members a < b of the list."""
+
+    def _bits(self, horizon: int) -> int:
+        return _mask_from({b - a for a, b in combinations(self._values, 2)},
+                          horizon)
 
 
 @dataclass(frozen=True)
-class DeltaOf(PSetSpec):
+class DeltaOf(_Differences):
     """All pairwise differences of a strictly increasing sequence."""
 
     seq: tuple
 
     kind = "delta"
-
-    def __post_init__(self):
-        object.__setattr__(self, "seq", _tuple(self.seq))
-
-    def validate(self, path: str = "") -> None:
-        _check_increasing(self.seq, _child(path, "seq"), min_len=1)
-
-    def to_json(self) -> dict:
-        return {"type": "delta", "seq": list(self.seq)}
-
-    def _bits(self, horizon: int) -> int:
-        return _mask_from(_pair_differences(self.seq), horizon)
+    _wire = {"seq": "seq"}
 
 
 @dataclass(frozen=True)
-class DiffSet(PSetSpec):
+class DiffSet(_Differences):
     """{a - a' : a, a' in base, a > a'} for a finite base set."""
 
     base: tuple
 
     kind = "diffset"
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", _tuple(self.base))
-
-    def validate(self, path: str = "") -> None:
-        _check_increasing(self.base, _child(path, "set"), min_len=1)
-
-    def to_json(self) -> dict:
-        return {"type": "diffset", "set": list(self.base)}
-
-    def _bits(self, horizon: int) -> int:
-        return _mask_from(_pair_differences(self.base), horizon)
+    _wire = {"set": "base"}
 
 
 @dataclass(frozen=True)
@@ -260,9 +255,7 @@ class Bohr(PSetSpec):
     interval: tuple
 
     kind = "bohr"
-
-    def __post_init__(self):
-        object.__setattr__(self, "interval", _tuple(self.interval))
+    _wire = {"alpha": "alpha", "interval": "interval"}
 
     def validate(self, path: str = "") -> None:
         if not isinstance(self.alpha, (int, float)) or isinstance(self.alpha, bool):
@@ -281,6 +274,7 @@ class Bohr(PSetSpec):
                             _child(path, "interval"))
 
     def to_json(self) -> dict:
+        # integer inputs are written as JSON floats
         return {"type": "bohr", "alpha": float(self.alpha),
                 "interval": [float(self.interval[0]), float(self.interval[1])]}
 
@@ -312,12 +306,10 @@ class Complement(PSetSpec):
     of: PSetSpec
 
     kind = "complement"
+    _wire = {"of": "of"}
 
     def validate(self, path: str = "") -> None:
         self.of.validate(_child(path, "of"))
-
-    def to_json(self) -> dict:
-        return {"type": "complement", "of": self.of.to_json()}
 
     def _bits(self, horizon: int) -> int:
         full = (1 << horizon) - 1
@@ -330,17 +322,13 @@ class _Combination(PSetSpec):
 
     parts: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+    _wire = {"of": "parts"}
 
     def validate(self, path: str = "") -> None:
         if not self.parts:
             raise SpecError("need at least 1 part", _child(path, "of"))
         for i, part in enumerate(self.parts):
             part.validate(_child(_child(path, "of"), i))
-
-    def to_json(self) -> dict:
-        return {"type": self.kind, "of": [p.to_json() for p in self.parts]}
 
 
 @dataclass(frozen=True)
@@ -374,20 +362,11 @@ def _expect_keys(obj: dict, path: str, keys: set) -> None:
         raise SpecError(f"missing keys {missing}", path)
 
 
-# wire tag -> (class, {wire key: constructor keyword}); the key "of"
-# holds one child spec for the keyword "of" and a list for "parts"
-_KINDS = {
-    "explicit": (Explicit, {"elems": "elems"}),
-    "multiples": (Multiples, {"k": "k"}),
-    "squares": (Squares, {}),
-    "fs": (FiniteSums, {"gens": "gens"}),
-    "delta": (DeltaOf, {"seq": "seq"}),
-    "diffset": (DiffSet, {"set": "base"}),
-    "bohr": (Bohr, {"alpha": "alpha", "interval": "interval"}),
-    "complement": (Complement, {"of": "of"}),
-    "union": (Union, {"of": "parts"}),
-    "intersect": (Intersect, {"of": "parts"}),
-}
+# wire tag -> class; the key "of" holds one child spec for the field
+# "of" and a list for "parts"
+_KINDS = {cls.kind: cls for cls in (
+    Explicit, Multiples, Squares, FiniteSums, DeltaOf, DiffSet, Bohr,
+    Complement, Union, Intersect)}
 
 
 # the deepest node a parsed description may have (the root is level 1);
@@ -429,9 +408,9 @@ def _parse_node(obj: object, path: str, level: int) -> PSetSpec:
     tag = obj["type"]
     if not isinstance(tag, str) or tag not in _KINDS:
         raise SpecError(f"unknown spec type {tag!r}", path)
-    cls, wire = _KINDS[tag]
-    _expect_keys(obj, path, set(wire))
-    fields = {field: obj[key] for key, field in wire.items()}
+    cls = _KINDS[tag]
+    _expect_keys(obj, path, set(cls._wire))
+    fields = {field: obj[key] for key, field in cls._wire.items()}
     of_path = _child(path, "of")
     if "of" in fields:
         fields["of"] = _parse_node(obj["of"], of_path, level + 1)

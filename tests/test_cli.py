@@ -307,6 +307,33 @@ def test_exp_run_param_override(capsys):
     assert payload["params"]["k"] == 4
 
 
+@pytest.mark.parametrize("experiment, param", [
+    ("delta-kills-density", "n_grid=[]"),
+    ("delta-kills-density", "n_grid=5"),
+    ("delta-kills-density", "n_grid=[0]"),
+    ("delta-kills-density", "window_grid=5"),
+    ("zero-density-zero-entropy", "n_grid=[0]"),
+    ("zero-density-zero-entropy", "n_grid=[]"),
+    ("density-entropy-bound", "n_grid=[0]"),
+    ("entropy-iff-banach", "n_grid=[]"),
+    ("entropy-iff-banach", "n_grid=[0]"),
+    ("zero-entropy-proximal", 'block_grid=["a"]'),
+    ("squares-zero-entropy", "n_grid=[]"),
+    ("squares-zero-entropy", "n_grid=[0]"),
+    ("positive-entropy-no-periodic", 'density_floor="x"'),
+    ("positive-entropy-no-periodic", 'density_floor="1/0"'),
+    ("positive-entropy-no-periodic", "forbidden=5"),
+    ("positive-entropy-no-periodic", "omega_grid=[0]"),
+    ("positive-entropy-no-periodic", "bohr_windows=5"),
+])
+def test_exp_run_bad_param_exits_2(capsys, experiment, param):
+    code, out, err = run_cli(capsys, "exp", "run", experiment,
+                             "--param", param)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "validation"
+
+
 def test_exp_run_rejects_unknown_id(capsys):
     code, _, err = run_cli(capsys, "exp", "run", "unknown-exp")
     assert code == 2

@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,40 @@ def test_bohr_membership_margin():
     assert elements(half) == []
 
 
+# one spec per kind, built with list arguments, in the order of README's
+# "Spec JSON" block, with its digest pinned
+KIND_EXAMPLES = [
+    (Explicit([2, 5, 9]),
+     "ec54962534de5a16e1b1ad2de3f88f7f2b8958c6a4662d1e922133464e370022"),
+    (Multiples(3),
+     "9d7355b8fb5b622f3ebcc704fbdd4c85feec80a0aaa492388c678875f0e99fdc"),
+    (Squares(),
+     "0b17cc69a73dd85966791b8e4dac37e820b1ad6e0916f0a89b4abf88dcb0a89b"),
+    (FiniteSums([2, 5]),
+     "f824204e1112c9eea7ad07a2bef6ad0f462a8d3f5a74e5b4668ae09a352a5631"),
+    (DeltaOf([1, 4, 9, 16, 25]),
+     "e1f07471b0dad6c13e36e492ecb17439f6d372090af4d32742c37dee5e0e7899"),
+    (DiffSet([1, 4, 9]),
+     "36c6d9dda4436533b271e771e5d28a8018c64bc5195efad6cb858ab6854d8005"),
+    (Bohr(0.61803398875, [0.0, 0.25]),
+     "fb268980da78bc20e5b5bba79f8b7da38768f1ef9afbf2cf3635788183284b89"),
+    (Complement(Multiples(2)),
+     "e8096c1d8299f204f123793128395a8b77edbe05eb49bbd00789b8fc23bc0491"),
+    (Union([Multiples(2), Multiples(3)]),
+     "2e05daef9b1943f30eff3e922fd0511cc72d1ec45795adc323a4e0f895368738"),
+    (Intersect([Multiples(2), Multiples(3)]),
+     "ee0907dbb1efda5c86a3c36bd10b7036e6b577d81548f2f35186fa1720c5f100"),
+]
+
+
+def _readme_spec_objects() -> list:
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Spec JSON", 1)[1].split("```json\n", 1)[1]
+    return [json.loads(line) for line in block.split("```", 1)[0].splitlines()]
+
+
 def test_parse_round_trip():
     spec = Union(parts=(Multiples(k=3),
                         Complement(of=Squares()),
@@ -112,6 +147,16 @@ def test_parse_round_trip():
     again = parse_spec(json.loads(json.dumps(obj)))
     assert again == spec
     assert again.digest() == spec.digest()
+    objects = _readme_spec_objects()
+    assert [o["type"] for o in objects] == [
+        "explicit", "multiples", "squares", "fs", "delta", "diffset", "bohr",
+        "complement", "union", "intersect"]
+    assert len(KIND_EXAMPLES) == len(objects)
+    for (spec, digest), obj in zip(KIND_EXAMPLES, objects):
+        assert spec.to_json() == obj
+        again = parse_spec(obj)
+        assert again == spec and hash(again) == hash(spec)
+        assert spec.digest() == again.digest() == digest
 
 
 def test_parse_wire_keys():
