@@ -22,13 +22,21 @@ from typing import Optional
 
 from . import corpus as corpus_mod
 from . import detect, dynamics, experiments, language, reports
-from .errors import BudgetError, SpacelabError, SpecError, ValidationError
+from .errors import (DEFAULT_BUDGET, BudgetError, SpacelabError, SpecError,
+                     ValidationError)
 from .psets import PSetSpec, build_pset, density_report, parse_spec
 
 ENV_BUDGET = "SPACELAB_BUDGET"
 
 
 class _Parser(argparse.ArgumentParser):
+    def add_argument(self, *args, choices=None, **kwargs):
+        # argparse reads every choice here; set afterwards, _ExperimentIds
+        # is read only when a value is checked or a usage is printed
+        action = super().add_argument(*args, **kwargs)
+        action.choices = choices
+        return action
+
     def error(self, message):
         _print_error("usage", message)
         raise SystemExit(2)
@@ -89,7 +97,7 @@ def _resolve_budget(value: Optional[int]) -> int:
         if parsed < 1:
             raise ValidationError(f"{ENV_BUDGET} must be positive")
         return parsed
-    return language.DEFAULT_BUDGET
+    return DEFAULT_BUDGET
 
 
 def _json_out(obj) -> str:
@@ -293,6 +301,12 @@ def _parse_param(text: str):
     return key, value
 
 
+class _ExperimentIds:
+    # "exp run" choices: reading them runs experiments, so only on use
+    def __iter__(self):
+        return iter(experiments.EXPERIMENT_IDS)
+
+
 def _cmd_exp_run(args, view) -> tuple:
     overrides = dict(_parse_param(p) for p in args.param or [])
     report = experiments.run_experiment(args.experiment_id,
@@ -415,7 +429,7 @@ _COMMANDS = {
     "exp": ("named experiments", [
         ("run", {"help": "run one experiment"}, _cmd_exp_run, None,
          (("experiment_id",
-           {"choices": sorted(experiments.EXPERIMENT_IDS)}),
+           {"choices": _ExperimentIds()}),
           _BUDGET,
           ("--param", {"action": "append",
                        "help": "override one parameter, KEY=VALUE "

@@ -17,8 +17,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations, pairwise
 from typing import Optional, Sequence, Tuple
 
-from .errors import BudgetError, ValidationError
-from .language import DEFAULT_BUDGET
+from .errors import DEFAULT_BUDGET, BudgetError, ValidationError
 from .psets import Bohr, PSetView, build_pset, member
 
 _PAYLOAD_KEYS = {

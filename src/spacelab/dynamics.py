@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ValidationError
+from .errors import DEFAULT_BUDGET, ValidationError
 from .language import (Configuration, greedy_point, is_admissible, max_ones,
-                       scan_point, DEFAULT_BUDGET)
+                       scan_point)
 from .psets import PSetView
 
 

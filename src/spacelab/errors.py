@@ -9,6 +9,8 @@ indicate a bug, not bad input.
 
 from __future__ import annotations
 
+DEFAULT_BUDGET = 10_000_000
+
 
 class SpacelabError(Exception):
     """Base class for all user-facing errors."""

@@ -24,10 +24,10 @@ from . import corpus
 from .detect import (check_bohr_avoidance, find_delta_chain,
                      find_ip_ip_generator)
 from .dynamics import named_points, periodic_point_check, proximal_probe
-from .errors import BudgetError, ValidationError
+from .errors import DEFAULT_BUDGET, BudgetError, ValidationError
 from .language import (Configuration, count_words, greedy_point,
                        is_admissible, max_ones, scan_point,
-                       transitive_gap_check, DEFAULT_BUDGET)
+                       transitive_gap_check)
 from .psets import (Complement, DiffSet, Explicit, Multiples, PSetSpec,
                     Squares, build_pset, density_report, parse_spec)
 from .reports import frac_str
@@ -96,6 +96,8 @@ def _merge(defaults: dict, overrides: Optional[dict]) -> dict:
             if key in _LENGTH_GRIDS and (not value or min(value) < 1):
                 raise ValidationError(f"parameter {key} must be a nonempty "
                                       "list of integers >= 1")
+            if key in ("k_grid", "members") and not value:
+                raise ValidationError(f"parameter {key} must be nonempty")
         params.update(overrides)
     return params
 

@@ -23,10 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .errors import BudgetError, ValidationError
+from .errors import DEFAULT_BUDGET, BudgetError, ValidationError
 from .psets import PSetView
-
-DEFAULT_BUDGET = 10_000_000
 
 NAIVE_MAX_N = 24
 

@@ -13,12 +13,14 @@ import datetime
 import json
 import os
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from .dynamics import FStatReport
-from .language import LanguageProfile
-from .psets import DensityReport
+
+if TYPE_CHECKING:  # annotations only: importing them would run the layers
+    from .dynamics import FStatReport
+    from .language import LanguageProfile
+    from .psets import DensityReport
 
 
 def frac_str(value: Fraction) -> str:

@@ -325,6 +325,10 @@ def test_exp_run_param_override(capsys):
     ("positive-entropy-no-periodic", "forbidden=5"),
     ("positive-entropy-no-periodic", "omega_grid=[0]"),
     ("positive-entropy-no-periodic", "bohr_windows=5"),
+    ("zero-density-zero-entropy", "k_grid=[]"),
+    ("zero-entropy-proximal", "members=[]"),
+    ("density-entropy-bound", "k_grid=[]"),
+    ("high-density-trivial-dynamics", "k_grid=[]"),
 ])
 def test_exp_run_bad_param_exits_2(capsys, experiment, param):
     code, out, err = run_cli(capsys, "exp", "run", experiment,
