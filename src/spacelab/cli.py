@@ -387,7 +387,7 @@ _COMMANDS = {
     ]),
     "lang": ("language enumeration", [
         ("count", {"help": "exact word count"}, _cmd_lang_count,
-         lambda a: max(a.n, 1),
+         lambda a: a.n,
          (_SPEC, ("--n", {"type": int, "required": True}), _MODE,
           _OPT_HORIZON, _BUDGET, _OUT)),
         ("entropy", {"help": "entropy profile CSV"}, _cmd_lang_entropy,
@@ -395,7 +395,7 @@ _COMMANDS = {
          (_SPEC, ("--n-grid", {"required": True}), _MODE, _OPT_HORIZON,
           _BUDGET, _OUT, _PLOT)),
         ("maxones", {"help": "max ones and witness"}, _cmd_lang_maxones,
-         lambda a: max(a.n, 1),
+         lambda a: a.n,
          (_SPEC, ("--n", {"type": int, "required": True}), _OPT_HORIZON,
           _BUDGET, _OUT)),
         ("greedy", {"help": "greedy point"}, _cmd_lang_greedy, None,
@@ -463,8 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _view(args):
     # the default horizon is worked out even when --horizon is given, so
-    # that a bad --n-grid is reported before a bad spec
-    default = args.default_horizon(args) if args.default_horizon else None
+    # that a bad --n-grid is reported before a bad spec, and is at least 1,
+    # so that a bad --n, --n-grid, --word-len or --bound reports itself
+    default = args.default_horizon and max(args.default_horizon(args), 1)
     horizon = default if args.horizon is None else args.horizon
     return build_pset(_load_spec(args.spec), horizon)
 

@@ -85,37 +85,22 @@ def finite_sums(values: Sequence[int]) -> list:
 def _differences_in(values: object, view: PSetView) -> bool:
     # whether big - small is in P for every two entries of `values`,
     # taken in the order given
-    if not (values and isinstance(values, tuple)
+    if (values and isinstance(values, tuple)
             and all(isinstance(v, int) for v in values)
             and all(a < b for a, b in pairwise(values))
             and values[-1] - values[0] <= view.horizon):
-        return all(member(view, big - small)
-                   for small, big in combinations(values, 2))
-    # every difference is an integer in [1..H]: OR the set of values,
-    # shifted down to 0, over each of its own shifts, so that bit d is
-    # set iff d is a difference, and read each one once in the table
-    lo = values[0]
-    mask = sum(1 << (v - lo) for v in values)
-    diffs = 0
-    for v in values:
-        diffs |= mask >> (v - lo)
-    table = view.table
-    flags = format(diffs, "b")[::-1]
-    d = flags.find("1", 1)
-    while d > 0:
-        if not table[d]:
-            return False
-        d = flags.find("1", d + 1)
-    return True
+        return view.admits(values)
+    return all(member(view, big - small)
+               for small, big in combinations(values, 2))
 
 
 def verify_witness(witness: StructureWitness, view: PSetView) -> bool:
     """Re-check a certificate by direct membership arithmetic.
 
     A delta chain, or the sorted finite sums of an IP-IP generator, that
-    is a strictly increasing tuple of integers inside the horizon has
-    each distinct positive difference read once in the view's table; any
-    other payload goes through :func:`member` pair by pair, which raises
+    is a strictly increasing tuple of integers spanning at most the
+    horizon is tested whole by :meth:`PSetView.admits`; any other payload
+    goes through :func:`member` pair by pair, which raises
     :class:`ValidationError` on a difference outside [1..H].
     """
     kind = witness.kind

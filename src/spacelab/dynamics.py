@@ -3,8 +3,10 @@
 Points are finite truncations of elements of the shift space, carried as
 configurations with a label naming the generator that produced them.
 The metric is fixed as d(x, y) = 2^-min{i : x_i != y_i}, so closeness
-below 2^-l is exactly agreement on a length-(l+1) block; every statistic
-here reduces to window agreement counts, computed exactly.
+below 2^-l is exactly agreement on a length-(l+1) block.  Every probe
+of two points reads their disagreement mask x XOR y: the least agreeing
+block is one substring search over its digits, and an agreement count
+is one popcount of that mask OR-ed over l + 1 shifts, so all are exact.
 """
 
 from __future__ import annotations
@@ -139,25 +141,24 @@ def f_statistic(x: OrbitPoint, y: OrbitPoint, l: int,
     """F_n = |{m < n : x, y agree on coordinates m..m+l}| / n, exactly."""
     if x.config.length != y.config.length:
         raise ValidationError("points must have equal lengths")
+    if not isinstance(l, int) or isinstance(l, bool):
+        raise ValidationError("l must be an integer")
     if l < 0:
         raise ValidationError("l must be >= 0")
-    grid = sorted(set(n_grid))
-    if not grid or grid[0] < 1:
+    grid = list(n_grid)
+    if not grid or not all(isinstance(n, int) and not isinstance(n, bool)
+                           and n >= 1 for n in grid):
         raise ValidationError("n_grid must be positive integers")
-    horizon = x.config.length
-    if grid[-1] + l > horizon:
+    grid = sorted(set(grid))
+    if grid[-1] + l > x.config.length:
         raise ValidationError("n_grid plus block length exceeds the horizon")
     diff = x.config.ones_mask() ^ y.config.ones_mask()
-    window = (1 << (l + 1)) - 1
-    values = []
-    agree = 0
-    pos = 0
-    for n in grid:
-        while pos < n:
-            if not (diff >> pos) & window:
-                agree += 1
-            pos += 1
-        values.append((n, Fraction(agree, n)))
+    # bit m of apart is set iff x and y disagree somewhere in [m, m+l]
+    apart = 0
+    for shift in range(l + 1):
+        apart |= diff >> shift
+    values = [(n, Fraction(n - (apart & ((1 << n) - 1)).bit_count(), n))
+              for n in grid]
     tail = values[-max(1, len(values) // 4):]
     return FStatReport(l=l, x_label=x.label, y_label=y.label,
                        values=tuple(values),
@@ -173,24 +174,13 @@ def proximal_probe(x: OrbitPoint, y: OrbitPoint, block: int) -> Optional[int]:
     if x.config.length != y.config.length:
         raise ValidationError("points must have equal lengths")
     horizon = x.config.length
-    if not 1 <= block <= horizon:
+    if not isinstance(block, int) or isinstance(block, bool) \
+            or not 1 <= block <= horizon:
         raise ValidationError(f"block must lie in [1..{horizon}]")
+    # digit m is "1" iff x and y disagree at position m
     diff = x.config.ones_mask() ^ y.config.ones_mask()
-    # disagreement positions split [0..H) into clean stretches
-    positions = []
-    rest = diff
-    while rest:
-        low = rest & -rest
-        positions.append(low.bit_length() - 1)
-        rest ^= low
-    start = 0
-    for p in positions:
-        if p - start >= block:
-            return start
-        start = p + 1
-    if horizon - start >= block:
-        return start
-    return None
+    m = format(diff, f"0{horizon}b")[::-1].find("0" * block)
+    return m if m >= 0 else None
 
 
 @dataclass(frozen=True)

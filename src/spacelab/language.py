@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .errors import DEFAULT_BUDGET, BudgetError, ValidationError
-from .psets import PSetView
+from .psets import PSetView, _mask_from
 
 NAIVE_MAX_N = 24
 
@@ -50,10 +50,7 @@ class Configuration:
             raise ValidationError("ones must lie inside [0, length)")
 
     def ones_mask(self) -> int:
-        mask = 0
-        for p in self.ones:
-            mask |= 1 << p
-        return mask
+        return _mask_from((p + 1 for p in self.ones), self.length)
 
     def word(self) -> str:
         chars = ["0"] * self.length
@@ -83,10 +80,7 @@ def is_admissible(config: Configuration, view: PSetView) -> bool:
     if config.length > view.horizon:
         raise ValidationError(
             f"configuration length {config.length} exceeds horizon {view.horizon}")
-    # bit d-1 of ones_mask >> (p + 1) is set iff p + d is a 1-position
-    ones_mask = config.ones_mask()
-    not_p = ~view.bits
-    return not any((ones_mask >> (p + 1)) & not_p for p in config.ones)
+    return view.admits(config.ones)
 
 
 def _count_naive(view: PSetView, n: int) -> int:

@@ -10,8 +10,9 @@ n is a member), with a byte table alongside for constant-time lookups.
 Builders mark members in a byte buffer and convert it to the bitmask in
 one O(H) step, because setting one bit of an H-bit int costs O(H / 64);
 the squares, √H of them, set their bits directly, and finite sums grow
-by one shift-or per generator.  Densities are exact rationals, and their
-extremes are found by integer cross-multiplication.
+by one shift-or per generator.  A view tests a whole set of positions
+against P in one place, :meth:`PSetView.admits`.  Densities are exact
+rationals, and their extremes are found by integer cross-multiplication.
 
 Conventions: N starts at 1.  Word positions elsewhere in the package are
 0-based; the difference of two positions is the 1-based number looked up
@@ -435,8 +436,9 @@ class PSetView:
 
     ``bits`` has bit n-1 set iff n is a member.  Views are immutable and
     a pure function of (spec, horizon); sharing them across workers is
-    safe.  Single numbers are looked up in :attr:`table`; searches over
-    positions keep candidate masks built with :meth:`after`.
+    safe.  Single numbers are looked up in :attr:`table`, a whole set of
+    positions is tested with :meth:`admits`, and searches over positions
+    keep candidate masks built with :meth:`after`.
     """
 
     horizon: int
@@ -464,6 +466,22 @@ class PSetView:
         against every choice so far.
         """
         return self.bits << (p + 1)
+
+    def admits(self, positions: Sequence[int]) -> bool:
+        """Whether q - p is in P for every two of the increasing
+        `positions` p < q, a difference past the horizon counting as
+        outside P; one shift-and-mask of O(span / 64) words a position.
+        """
+        if not positions:
+            return True
+        lo = positions[0]
+        span = positions[-1] - lo
+        # bit i of mask is set iff lo + i is a position, so bit d - 1 of
+        # mask >> (p - lo + 1) is set iff p + d is one; bit d - 1 of
+        # outside is set iff d in [1..span] is not in P
+        mask = _mask_from((p - lo + 1 for p in positions), span + 1)
+        outside = ~self.bits & ((1 << span) - 1)
+        return not any(mask >> (p - lo + 1) & outside for p in positions)
 
 
 def build_pset(spec: PSetSpec, horizon: int) -> PSetView:

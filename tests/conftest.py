@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,15 @@ def brute_count(pset_elems, n):
                    for a, b in itertools.combinations(combo, 2)):
                 total += 1
     return total
+
+
+def brute_f(x_word, y_word, l, n):
+    """Direct-count oracle for the agreement statistic."""
+    hits = 0
+    for m in range(n):
+        if all(x_word[m + i] == y_word[m + i] for i in range(l + 1)):
+            hits += 1
+    return Fraction(hits, n)
 
 
 def brute_max_ones(pset_elems, n):

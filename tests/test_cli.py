@@ -225,6 +225,23 @@ def test_zero_horizon_rejected(capsys, argv):
     assert json.loads(err)["error"]["type"] == "validation"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lang", "entropy", "--spec", M2, "--n-grid", "0"],
+     "grid lengths must be positive integers"),
+    (["lang", "transitive", "--spec", M2, "--word-len", "0",
+      "--gap-cap", "0"], "word_len_cap must be >= 1"),
+    (["detect", "delta", "--spec", SQUARES, "--depth", "2", "--bound", "0"],
+     "search bound must be a positive integer"),
+])
+def test_default_horizon_leaves_the_real_fault(capsys, argv, message):
+    # without --horizon the default horizon is at least 1, so the error
+    # names the option that is wrong rather than the horizon
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"message": message,
+                                        "type": "validation"}
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "bogus")
     assert code == 2

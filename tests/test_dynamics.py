@@ -18,19 +18,12 @@ from spacelab import (
 from spacelab.dynamics import OrbitPoint, random_point
 from spacelab.psets import Complement, Multiples
 
+from conftest import brute_f
+
 
 def _point(view, word):
     return OrbitPoint(config=Configuration.from_word(word), label="test",
                       admissible=True, spec_digest=view.spec_digest)
-
-
-def brute_f(x_word, y_word, l, n):
-    """Direct-count oracle for the agreement statistic."""
-    hits = 0
-    for m in range(n):
-        if all(x_word[m + i] == y_word[m + i] for i in range(l + 1)):
-            hits += 1
-    return Fraction(hits, n)
 
 
 def test_cylinder_distance():
@@ -150,6 +143,33 @@ def test_proximal_probe_failure():
     y = _point(full, "0" * 64)
     assert proximal_probe(x, y, 2) is None
     assert proximal_probe(x, y, 1) == 1
+
+
+_L_INT = "l must be an integer"
+_GRID = "n_grid must be positive integers"
+
+
+@pytest.mark.parametrize("l, grid, message", [
+    (0.5, [4], _L_INT), (True, [4], _L_INT), ("1", [4], _L_INT),
+    (-1, [4], "l must be >= 0"),
+    (0, [2.5], _GRID), (0, [True], _GRID), (0, [4, "8"], _GRID),
+    (0, [4, None], _GRID), (0, [0, 4], _GRID),
+])
+def test_f_statistic_rejects_non_integers(co3_view, l, grid, message):
+    x = make_point(co3_view, "zero", 16)
+    y = make_point(co3_view, "greedy", 16)
+    with pytest.raises(ValidationError) as err:
+        f_statistic(x, y, l, grid)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("block", [2.5, 2.0, True, "2", None])
+def test_proximal_probe_rejects_non_integers(co3_view, block):
+    x = make_point(co3_view, "zero", 16)
+    y = make_point(co3_view, "greedy", 16)
+    with pytest.raises(ValidationError) as err:
+        proximal_probe(x, y, block)
+    assert str(err.value) == "block must lie in [1..16]"
 
 
 def test_periodic_point_check():

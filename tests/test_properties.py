@@ -17,6 +17,7 @@ from spacelab import (
     density_report,
     elements,
     entropy_profile,
+    f_statistic,
     find_delta_chain,
     find_ip_generator,
     find_ip_ip_generator,
@@ -25,16 +26,17 @@ from spacelab import (
     is_admissible,
     max_ones,
     member,
+    proximal_probe,
     syndetic_gap,
     thick_run,
     verify_witness,
 )
 from spacelab.cli import main
 from spacelab.detect import StructureWitness
-from spacelab.dynamics import random_point
+from spacelab.dynamics import OrbitPoint, random_point
 from spacelab.psets import (Bohr, Complement, DeltaOf, DiffSet, Explicit,
                             FiniteSums, Intersect, Multiples, Squares, Union)
-from conftest import brute_count, brute_max_ones
+from conftest import brute_count, brute_f, brute_max_ones
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -363,6 +365,66 @@ def test_points_and_admissibility_match_reference(case, data):
                              max_size=6)) if h else set()
     config = Configuration(h, tuple(sorted(ones)))
     assert is_admissible(config, view) == ref_admissible(ps, config.ones)
+
+
+@given(case=small_sets(), data=st.data())
+@SETTINGS
+def test_admits_matches_set_semantics(case, data):
+    view, ps = case
+    # offset positions whose span may run past the horizon, where a
+    # difference counts as outside P (ps holds no member past it)
+    lo = data.draw(st.integers(min_value=-5, max_value=40))
+    positions = tuple(sorted(data.draw(st.sets(
+        st.integers(min_value=lo, max_value=lo + 2 * view.horizon + 2),
+        max_size=7))))
+    assert view.admits(positions) == ref_admissible(ps, positions)
+
+
+# -- orbit probes against brute-force word oracles ---------------------------
+
+@st.composite
+def word_pairs(draw):
+    """Two words of one length in [1..64]; y is x with a drawn set of
+    positions flipped, so that long agreeing blocks are common."""
+    n = draw(st.integers(min_value=1, max_value=64))
+    x = draw(st.text("01", min_size=n, max_size=n))
+    flips = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    y = "".join("10"[int(c)] if i in flips else c for i, c in enumerate(x))
+    return x, y
+
+
+def word_point(word):
+    return OrbitPoint(config=Configuration.from_word(word), label=word,
+                      admissible=True, spec_digest="")
+
+
+def ref_proximal(x, y, block):
+    for m in range(len(x) - block + 1):
+        if x[m:m + block] == y[m:m + block]:
+            return m
+    return None
+
+
+@given(words=word_pairs())
+@SETTINGS
+def test_proximal_probe_matches_brute_force(words):
+    x, y = words
+    for block in range(1, len(x) + 1):
+        assert proximal_probe(word_point(x), word_point(y), block) \
+            == ref_proximal(x, y, block)
+
+
+@given(words=word_pairs(), seed=st.integers(min_value=0, max_value=99))
+@SETTINGS
+def test_f_statistic_matches_brute_force(words, seed):
+    x, y = words
+    rng = random.Random(seed)
+    for l in range(len(x)):
+        # up to four grid points, repeats allowed, all with n + l <= len(x)
+        grid = rng.choices(range(1, len(x) - l + 1), k=rng.randint(1, 4))
+        report = f_statistic(word_point(x), word_point(y), l, grid)
+        assert report.values == tuple((n, brute_f(x, y, l, n))
+                                      for n in sorted(set(grid)))
 
 
 @given(case=small_sets(), depth=st.integers(min_value=2, max_value=5),
