@@ -100,13 +100,10 @@ def _resolve_budget(value: Optional[int]) -> int:
     return DEFAULT_BUDGET
 
 
-def _json_out(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
 def _json_result(payload: dict, name: str, params: dict) -> tuple:
     # the common result: JSON on stdout and the same JSON as one file
-    return _json_out(payload), {name: reports.json_text(payload)}, params
+    text = reports.json_text(payload)
+    return text, {name: text}, params
 
 
 # Each handler takes the parsed arguments, with --budget resolved, and the
@@ -127,9 +124,9 @@ def _shared_params(args, view) -> dict:
 def _cmd_pset_density(args, view) -> tuple:
     grid = _int_list(args.window_grid, "--window-grid")
     report = density_report(view, grid, n0=args.n0)
-    payload = reports.density_json(report)
+    text = reports.json_text(reports.density_json(report))
     files = {
-        "density.json": reports.json_text(payload),
+        "density.json": text,
         "prefix.csv": reports.density_prefix_csv(report),
         "banach.csv": reports.density_banach_csv(report),
     }
@@ -138,20 +135,21 @@ def _cmd_pset_density(args, view) -> tuple:
         ys = [float(d) for _, d in report.prefix_densities]
         files["density.svg"] = reports.svg_line_plot(
             [("prefix", xs, ys)], "prefix density", "n", "density")
-    return _json_out(payload), files, {"n0": report.n0, "window_grid": grid}
+    return text, files, {"n0": report.n0, "window_grid": grid}
 
 
 def _witness_output(args, witness, view, kind: str, params: dict) -> tuple:
     # a search that finds nothing echoes every parameter it ran with
     obj = (witness.to_json() if witness is not None else
            {"kind": kind, "result": "none", **params, **_shared_params(args, view)})
-    text = _json_out(obj)
+    text = reports.json_text(obj)
+    files = {"witness.json": text}
     if witness is not None and args.verify:
         echoed = detect.witness_from_json(json.loads(text))
         if not detect.verify_witness(echoed, view):
             raise ValidationError("witness failed re-verification")
-        text += "\nverified"
-    return text, {"witness.json": reports.json_text(obj)}
+        text += "verified"
+    return text, files
 
 
 def _cmd_detect_search(args, view) -> tuple:
@@ -311,7 +309,8 @@ def _cmd_exp_run(args, view) -> tuple:
     overrides = dict(_parse_param(p) for p in args.param or [])
     report = experiments.run_experiment(args.experiment_id,
                                         overrides or None, budget=args.budget)
-    return (_json_out(report.to_json()), _experiment_files(report, args.plot),
+    files = _experiment_files(report, args.plot)
+    return (files[f"{report.experiment}.json"], files,
             {"experiment": args.experiment_id, "overrides": overrides})
 
 
@@ -325,7 +324,7 @@ def _cmd_corpus_run_all(args, view) -> tuple:
              "verdicts": verdicts}
     files["index.json"] = reports.json_text(index)
     digests = {name: spec.digest() for name, spec in corpus_mod.iter_corpus()}
-    return (_json_out(index), files,
+    return (files["index.json"], files,
             {"experiments": list(experiments.EXPERIMENT_IDS)}, digests)
 
 

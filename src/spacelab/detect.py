@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations, pairwise
 from typing import Optional, Sequence, Tuple
 
-from .errors import DEFAULT_BUDGET, BudgetError, ValidationError
+from .errors import DEFAULT_BUDGET, BudgetError, ValidationError, check_int
 from .psets import Bohr, PSetView, build_pset, member
 
 _PAYLOAD_KEYS = {
@@ -141,8 +141,7 @@ def find_delta_chain(view: PSetView, depth: int, search_bound: int,
     counts do not depend on how candidates are tested.  Exhaustion
     raises :class:`BudgetError` with ``nodes == budget + 1``.
     """
-    if depth < 2:
-        raise ValidationError("delta chains need depth >= 2")
+    check_int(depth, "delta chains need depth >= 2", 2)
     _check_bound(view, search_bound)
     nodes = 0
     chain: list = []
@@ -176,9 +175,7 @@ def find_delta_chain(view: PSetView, depth: int, search_bound: int,
 
 
 def _check_bound(view: PSetView, search_bound: int) -> None:
-    if not isinstance(search_bound, int) or isinstance(search_bound, bool) \
-            or search_bound < 1:
-        raise ValidationError("search bound must be a positive integer")
+    check_int(search_bound, "search bound must be a positive integer", 1)
     if search_bound > view.horizon:
         raise ValidationError(
             f"search bound {search_bound} exceeds horizon {view.horizon}")
@@ -193,9 +190,8 @@ def _find_generator(view: PSetView, depth: int, search_bound: int,
     # g + a (IP); +-(a+g-f) and +-f (IP-IP: with F - F, checked before,
     # all new differences)
     pairwise = kind == "ip_ip_generator"
-    if depth < 1:
-        raise ValidationError(
-            f"{'IP-IP' if pairwise else 'IP'} generators need depth >= 1")
+    name = "IP-IP" if pairwise else "IP"
+    check_int(depth, f"{name} generators need depth >= 1", 1)
     _check_bound(view, search_bound)
     W = search_bound
     zero = 1 << W

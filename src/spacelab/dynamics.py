@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DEFAULT_BUDGET, ValidationError
+from .errors import DEFAULT_BUDGET, ValidationError, check_int
 from .language import (Configuration, greedy_point, is_admissible, max_ones,
                        scan_point)
 from .psets import PSetView
@@ -60,6 +60,7 @@ def make_point(view: PSetView, name: str, horizon: int,
     length-N window, zero-padded), ``periodic:K`` (the period-K point,
     which must be admissible), ``random`` (requires `seed`).
     """
+    check_int(horizon, "horizon must be a non-negative integer")
     if horizon > view.horizon:
         raise ValidationError(
             f"point horizon {horizon} exceeds view horizon {view.horizon}")
@@ -141,14 +142,13 @@ def f_statistic(x: OrbitPoint, y: OrbitPoint, l: int,
     """F_n = |{m < n : x, y agree on coordinates m..m+l}| / n, exactly."""
     if x.config.length != y.config.length:
         raise ValidationError("points must have equal lengths")
-    if not isinstance(l, int) or isinstance(l, bool):
-        raise ValidationError("l must be an integer")
-    if l < 0:
-        raise ValidationError("l must be >= 0")
+    check_int(l, "l must be an integer")
+    check_int(l, "l must be >= 0", 0)
     grid = list(n_grid)
-    if not grid or not all(isinstance(n, int) and not isinstance(n, bool)
-                           and n >= 1 for n in grid):
+    if not grid:
         raise ValidationError("n_grid must be positive integers")
+    for n in grid:
+        check_int(n, "n_grid must be positive integers", 1)
     grid = sorted(set(grid))
     if grid[-1] + l > x.config.length:
         raise ValidationError("n_grid plus block length exceeds the horizon")
@@ -174,9 +174,7 @@ def proximal_probe(x: OrbitPoint, y: OrbitPoint, block: int) -> Optional[int]:
     if x.config.length != y.config.length:
         raise ValidationError("points must have equal lengths")
     horizon = x.config.length
-    if not isinstance(block, int) or isinstance(block, bool) \
-            or not 1 <= block <= horizon:
-        raise ValidationError(f"block must lie in [1..{horizon}]")
+    check_int(block, f"block must lie in [1..{horizon}]", 1, horizon)
     # digit m is "1" iff x and y disagree at position m
     diff = x.config.ones_mask() ^ y.config.ones_mask()
     m = format(diff, f"0{horizon}b")[::-1].find("0" * block)
@@ -199,11 +197,9 @@ class PeriodicCheckResult:
 def periodic_point_check(view: PSetView, k: int,
                          horizon: int) -> PeriodicCheckResult:
     """Period-k point exists iff every multiple of k up to horizon is in P."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValidationError("period must be a positive integer")
-    if not 1 <= horizon <= view.horizon:
-        raise ValidationError(
-            f"horizon must lie in [1..{view.horizon}]")
+    check_int(k, "period must be a positive integer", 1)
+    check_int(horizon, f"horizon must lie in [1..{view.horizon}]", 1,
+              view.horizon)
     missing = view.table[k:horizon + 1:k].find(0)
     if missing >= 0:
         return PeriodicCheckResult(point=None,

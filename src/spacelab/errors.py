@@ -5,9 +5,17 @@ Every error raised on behalf of bad user input derives from
 exit code: validation problems exit 2, exhausted search budgets exit 3.
 Internal logic errors stay plain Python exceptions on purpose; they
 indicate a bug, not bad input.
+
+The integer arguments of the library (horizons, word and window
+lengths, search depths and bounds, caps, periods, grid entries) are
+checked by :func:`check_int`: a bool, a float or a string raises
+:class:`ValidationError`, as an integer out of range does, and never a
+``TypeError``, a budget run or a wrong answer.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -18,6 +26,16 @@ class SpacelabError(Exception):
 
 class ValidationError(SpacelabError):
     """A parameter or precondition check failed."""
+
+
+def check_int(value: object, message: str, lo: Optional[int] = None,
+              hi: Optional[int] = None) -> None:
+    """Raise ValidationError(message) unless `value` is an int, not a
+    bool, inside [lo..hi]; an end left as None is open."""
+    if (not isinstance(value, int) or isinstance(value, bool)
+            or lo is not None and value < lo
+            or hi is not None and value > hi):
+        raise ValidationError(message)
 
 
 class SpecError(ValidationError):

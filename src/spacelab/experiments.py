@@ -447,35 +447,36 @@ def _exp_high_density_trivial_dynamics(params: dict,
                    checks, [])
 
 
-_DEFAULTS = {
-    "delta-kills-density": {
+# id -> (runner, pinned default parameters)
+_EXPERIMENTS = {
+    "delta-kills-density": (_exp_delta_kills_density, {
         "k": 3,
         "n_grid": [4, 8, 12, 16, 20, 24],
         "horizon": 64,
         "window_grid": [8, 16, 32],
-    },
-    "zero-density-zero-entropy": {
+    }),
+    "zero-density-zero-entropy": (_exp_zero_density_zero_entropy, {
         "k_grid": [2, 3, 5],
         "n_grid": [4, 8, 16, 24, 32],
         "horizon": 64,
-    },
-    "density-entropy-bound": {
+    }),
+    "density-entropy-bound": (_exp_density_entropy_bound, {
         "k_grid": [1, 2, 3],
         "n_grid": list(range(8, 25)),
         "horizon": 32,
-    },
-    "entropy-iff-banach": {
+    }),
+    "entropy-iff-banach": (_exp_entropy_iff_banach, {
         "n_grid": [8, 16, 24],
         "horizon": 64,
-    },
-    "zero-entropy-proximal": {
+    }),
+    "zero-entropy-proximal": (_exp_zero_entropy_proximal, {
         "members": ["co_multiples_2", "co_multiples_3", "co_multiples_5",
                     "intersect_co2_co3", "fs_2_5"],
         "horizon": 256,
         "block_grid": [1, 2, 4, 8, 16, 32],
         "maxones_n": 8,
-    },
-    "transitive-needs-ipip": {
+    }),
+    "transitive-needs-ipip": (_exp_transitive_needs_ipip, {
         "ipip_member": "diffset_fs_1_2_4_8_16",
         "ipip_horizon": 32,
         "word_len_cap": 4,
@@ -489,8 +490,8 @@ _DEFAULTS = {
         "defect_horizon": 12,
         "defect_word_len_cap": 3,
         "defect_gap_cap": 6,
-    },
-    "squares-zero-entropy": {
+    }),
+    "squares-zero-entropy": (_exp_squares_zero_entropy, {
         "n_grid": [8, 16, 24],
         "lang_horizon": 64,
         "chain_depth": 3,
@@ -498,8 +499,8 @@ _DEFAULTS = {
         "deep_depth": 5,
         "deep_budget": 1_000_000,
         "search_bound": 30_000,
-    },
-    "positive-entropy-no-periodic": {
+    }),
+    "positive-entropy-no-periodic": (_exp_positive_entropy_no_periodic, {
         "candidate_set": None,
         "forbidden": [7, 14, 21, 28, 35, 42],
         "s_horizon": 200,
@@ -510,27 +511,15 @@ _DEFAULTS = {
         "density_floor": "1/8",
         "bohr_alphas": [0.61803398875, 0.41421356237309515],
         "bohr_windows": [[0.0, 0.25], [0.25, 0.5], [0.5, 0.75], [0.75, 1.0]],
-    },
-    "high-density-trivial-dynamics": {
+    }),
+    "high-density-trivial-dynamics": (_exp_high_density_trivial_dynamics, {
         "k_grid": [2, 3, 5],
         "horizon": 240,
         "window_grid": [16, 64],
-    },
+    }),
 }
 
-_RUNNERS = {
-    "delta-kills-density": _exp_delta_kills_density,
-    "zero-density-zero-entropy": _exp_zero_density_zero_entropy,
-    "density-entropy-bound": _exp_density_entropy_bound,
-    "entropy-iff-banach": _exp_entropy_iff_banach,
-    "zero-entropy-proximal": _exp_zero_entropy_proximal,
-    "transitive-needs-ipip": _exp_transitive_needs_ipip,
-    "squares-zero-entropy": _exp_squares_zero_entropy,
-    "positive-entropy-no-periodic": _exp_positive_entropy_no_periodic,
-    "high-density-trivial-dynamics": _exp_high_density_trivial_dynamics,
-}
-
-EXPERIMENT_IDS = tuple(sorted(_RUNNERS))
+EXPERIMENT_IDS = tuple(sorted(_EXPERIMENTS))
 
 
 def run_experiment(exp_id: str, overrides: Optional[dict] = None,
@@ -541,11 +530,12 @@ def run_experiment(exp_id: str, overrides: Optional[dict] = None,
     an asserted computation turns into verdict "inconclusive" with the
     diagnostics in the notes.
     """
-    if exp_id not in _RUNNERS:
+    if exp_id not in _EXPERIMENTS:
         raise ValidationError(f"unknown experiment {exp_id!r}")
-    params = _merge(_DEFAULTS[exp_id], overrides)
+    runner, defaults = _EXPERIMENTS[exp_id]
+    params = _merge(defaults, overrides)
     try:
-        return _RUNNERS[exp_id](params, budget)
+        return runner(params, budget)
     except BudgetError as err:
         return ExperimentReport(
             experiment=exp_id, params=params,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .errors import DEFAULT_BUDGET, BudgetError, ValidationError
+from .errors import DEFAULT_BUDGET, BudgetError, ValidationError, check_int
 from .psets import PSetView, _mask_from
 
 NAIVE_MAX_N = 24
@@ -38,8 +38,7 @@ class Configuration:
 
     def __post_init__(self):
         object.__setattr__(self, "ones", tuple(self.ones))
-        if self.length < 0:
-            raise ValidationError("configuration length must be >= 0")
+        check_int(self.length, "configuration length must be >= 0", 0)
         prev = -1
         for p in self.ones:
             if not isinstance(p, int) or isinstance(p, bool) or p <= prev:
@@ -66,8 +65,7 @@ class Configuration:
 
     def padded(self, length: int) -> "Configuration":
         """The same 1-positions inside a longer window."""
-        if length < self.length:
-            raise ValidationError("cannot pad to a shorter length")
+        check_int(length, "cannot pad to a shorter length", self.length)
         return Configuration(length, self.ones)
 
 
@@ -189,8 +187,7 @@ def count_words(view: PSetView, n: int, mode: str = "optimized",
 
 def _count_words(view: PSetView, n: int, mode: str, budget: int,
                  memo: dict) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValidationError("word length must be a non-negative integer")
+    check_int(n, "word length must be a non-negative integer", 0)
     if n > view.horizon:
         raise ValidationError(f"word length {n} exceeds horizon {view.horizon}")
     if mode == "naive":
@@ -229,8 +226,7 @@ def max_ones(view: PSetView, n: int,
     {0} is node 1; exhausting ``budget`` raises :class:`BudgetError`
     with ``nodes == budget + 1``.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ValidationError("window length must be a non-negative integer")
+    check_int(n, "window length must be a non-negative integer", 0)
     if n > view.horizon:
         raise ValidationError(f"window length {n} exceeds horizon {view.horizon}")
     if n == 0:
@@ -327,12 +323,12 @@ def entropy_profile(view: PSetView, n_grid: Sequence[int],
     memo entries added over the whole grid; each ``max_ones`` call gets
     its own ``budget``.
     """
-    grid = sorted(set(n_grid))
+    grid = list(n_grid)
+    for n in grid:
+        check_int(n, "grid lengths must be positive integers", 1)
+    grid = sorted(set(grid))
     if not grid:
         raise ValidationError("n_grid must be nonempty")
-    for n in grid:
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValidationError("grid lengths must be positive integers")
     rows = []
     memo = {0: 1}
     for n in grid:
@@ -351,8 +347,7 @@ def greedy_point(view: PSetView, horizon: int) -> Configuration:
     The result is always admissible; for sets whose complement contains
     all differences of some shape, it finishes with finitely many 1s.
     """
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 0:
-        raise ValidationError("horizon must be a non-negative integer")
+    check_int(horizon, "horizon must be a non-negative integer", 0)
     if horizon > view.horizon:
         raise ValidationError(
             f"point horizon {horizon} exceeds view horizon {view.horizon}")
@@ -387,8 +382,7 @@ def find_join_gap(view: PSetView, u: Configuration, v: Configuration,
     Within-word admissibility of `u` and `v` is assumed; only the cross
     differences |u| + g + j - i are checked.
     """
-    if gap_cap < 0:
-        raise ValidationError("gap_cap must be >= 0")
+    check_int(gap_cap, "gap_cap must be >= 0", 0)
     worst = u.length + gap_cap + max(v.ones, default=0) - min(u.ones, default=0)
     if u.ones and v.ones and worst > view.horizon:
         raise ValidationError("cross differences would exceed the horizon")
@@ -443,10 +437,8 @@ def transitive_gap_check(view: PSetView, word_len_cap: int,
     [0, gap_cap] if one exists.  Pairs are ordered by (length, ones) and
     the least failing pair, if any, is reported as two word strings.
     """
-    if word_len_cap < 1:
-        raise ValidationError("word_len_cap must be >= 1")
-    if gap_cap < 0:
-        raise ValidationError("gap_cap must be >= 0")
+    check_int(word_len_cap, "word_len_cap must be >= 1", 1)
+    check_int(gap_cap, "gap_cap must be >= 0", 0)
     if 2 * word_len_cap + gap_cap > view.horizon:
         raise ValidationError(
             "need 2 * word_len_cap + gap_cap <= horizon")

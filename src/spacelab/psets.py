@@ -30,7 +30,7 @@ from itertools import accumulate, combinations, compress, islice
 from operator import sub
 from typing import Optional, Sequence
 
-from .errors import SpecError, ValidationError
+from .errors import SpecError, ValidationError, check_int
 
 
 def _child(path: str, key: object) -> str:
@@ -494,8 +494,7 @@ def build_pset(spec: PSetSpec, horizon: int) -> PSetView:
     ValidationError
         If the horizon is not a positive integer.
     """
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
-        raise ValidationError("horizon must be a positive integer")
+    check_int(horizon, "horizon must be a positive integer", 1)
     spec.validate()
     bits = spec._bits(horizon) & ((1 << horizon) - 1)
     return PSetView(horizon=horizon, bits=bits, spec_digest=spec.digest())
@@ -507,9 +506,8 @@ def member(view: PSetView, n: int) -> bool:
     Out-of-horizon queries raise instead of returning False: the view
     carries no information beyond [1..H].
     """
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= view.horizon:
-        raise ValidationError(
-            f"membership query {n!r} outside horizon [1..{view.horizon}]")
+    check_int(n, f"membership query {n!r} outside horizon [1..{view.horizon}]",
+              1, view.horizon)
     return bool(view.table[n])
 
 
@@ -568,14 +566,12 @@ def density_report(view: PSetView, window_grid: Sequence[int],
     H = view.horizon
     if n0 is None:
         n0 = max(1, H // 2)
-    if not 1 <= n0 <= H:
-        raise ValidationError(f"n0 must lie in [1..{H}]")
+    check_int(n0, f"n0 must lie in [1..{H}]", 1, H)
     grid = list(window_grid)
     if not grid:
         raise ValidationError("window_grid must be nonempty")
     for w in grid:
-        if not isinstance(w, int) or isinstance(w, bool) or not 1 <= w <= H:
-            raise ValidationError(f"window length {w!r} outside [1..{H}]")
+        check_int(w, f"window length {w!r} outside [1..{H}]", 1, H)
 
     table = view.table
     prefix = tuple((n, Fraction(count, n))
