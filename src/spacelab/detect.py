@@ -133,44 +133,41 @@ def find_delta_chain(view: PSetView, depth: int, search_bound: int,
     are explored depth-first in increasing order, so the first complete
     chain is the lexicographic minimum.
 
-    One node is one candidate position tested: at each level every
-    position from the previous element + 1 (or 1) upward is tested in
-    increasing order, legal or not, until one extends the chain or the
-    bound is passed.  The search walks only the legal candidates of a
-    mask and charges the illegal ones it skips in one step, so node
-    counts do not depend on how candidates are tested.  Exhaustion
-    raises :class:`BudgetError` with ``nodes == budget + 1``.
+    The search is rooted at the chain (1).  Differences do not change
+    under translation, so any chain s_1 < ... < s_depth <= bound
+    translates to 1, s_2 - s_1 + 1, ..., which is smaller and still
+    fits: the least chain starts at 1, or no chain exists.  The root is
+    node 1 and each legal position appended is one more node, as in
+    :func:`~spacelab.language.max_ones`; exhaustion raises
+    :class:`BudgetError` with ``nodes == budget + 1``.
     """
     check_int(depth, "delta chains need depth >= 2", 2)
     _check_bound(view, search_bound)
-    nodes = 0
-    chain: list = []
-    # masks[i] holds the untested legal candidates for chain[i]; bit s
+    check_int(budget, "budget must be an integer")
+    if budget < 1:
+        raise BudgetError("delta-chain budget exhausted", 1)
+    nodes = 1
+    chain = [1]
+    # masks[i] holds the untried legal candidates after chain[i]; bit s
     # stands for position s
-    masks = [((1 << search_bound) - 1) << 1]
-    cursor = 1  # next candidate position to test at the current level
+    masks = [((1 << search_bound) - 1) << 1 & view.after(1)]
     while masks:
         allowed = masks[-1]
-        low = allowed & -allowed
-        s = low.bit_length() - 1
-        tested = (s if allowed else search_bound) - cursor + 1
-        if nodes + tested > budget:
-            # the number of the node that went over (1 if budget < 0)
-            raise BudgetError("delta-chain budget exhausted",
-                              max(budget, nodes) + 1)
-        nodes += tested
         if not allowed:
             masks.pop()
-            if chain:
-                cursor = chain.pop() + 1
+            chain.pop()
             continue
+        low = allowed & -allowed
+        s = low.bit_length() - 1
         masks[-1] = allowed ^ low
+        nodes += 1
+        if nodes > budget:
+            raise BudgetError("delta-chain budget exhausted", nodes)
         chain.append(s)
         if len(chain) == depth:
             return _certified(view, kind="delta_chain", payload=tuple(chain),
                               depth=depth, bound=search_bound)
         masks.append(masks[-1] & view.after(s))
-        cursor = s + 1
     return None
 
 
@@ -193,6 +190,7 @@ def _find_generator(view: PSetView, depth: int, search_bound: int,
     name = "IP-IP" if pairwise else "IP"
     check_int(depth, f"{name} generators need depth >= 1", 1)
     _check_bound(view, search_bound)
+    check_int(budget, "budget must be an integer")
     W = search_bound
     zero = 1 << W
     illegal = ~view.bits

@@ -7,8 +7,8 @@ Internal logic errors stay plain Python exceptions on purpose; they
 indicate a bug, not bad input.
 
 The integer arguments of the library (horizons, word and window
-lengths, search depths and bounds, caps, periods, grid entries) are
-checked by :func:`check_int`: a bool, a float or a string raises
+lengths, search depths, bounds and budgets, caps, periods, grid entries)
+are checked by :func:`check_int`: a bool, a float or a string raises
 :class:`ValidationError`, as an integer out of range does, and never a
 ``TypeError``, a budget run or a wrong answer.
 """

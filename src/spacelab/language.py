@@ -188,6 +188,7 @@ def count_words(view: PSetView, n: int, mode: str = "optimized",
 def _count_words(view: PSetView, n: int, mode: str, budget: int,
                  memo: dict) -> int:
     check_int(n, "word length must be a non-negative integer", 0)
+    check_int(budget, "budget must be an integer")
     if n > view.horizon:
         raise ValidationError(f"word length {n} exceeds horizon {view.horizon}")
     if mode == "naive":
@@ -227,6 +228,7 @@ def max_ones(view: PSetView, n: int,
     with ``nodes == budget + 1``.
     """
     check_int(n, "window length must be a non-negative integer", 0)
+    check_int(budget, "budget must be an integer")
     if n > view.horizon:
         raise ValidationError(f"window length {n} exceeds horizon {view.horizon}")
     if n == 0:

@@ -37,13 +37,6 @@ def _child(path: str, key: object) -> str:
     return f"{path}/{key}" if path else str(key)
 
 
-def _check_int(value: object, path: str, minimum: int = 1) -> None:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SpecError("expected an integer", path)
-    if value < minimum:
-        raise SpecError(f"expected an integer >= {minimum}", path)
-
-
 def _check_increasing(values: object, path: str, min_len: int) -> None:
     if not isinstance(values, (list, tuple)):
         raise SpecError("expected a list of integers", path)
@@ -168,7 +161,10 @@ class Multiples(PSetSpec):
     _wire = {"k": "k"}
 
     def validate(self, path: str = "") -> None:
-        _check_int(self.k, _child(path, "k"))
+        if not isinstance(self.k, int) or isinstance(self.k, bool):
+            raise SpecError("expected an integer", _child(path, "k"))
+        if self.k < 1:
+            raise SpecError("expected an integer >= 1", _child(path, "k"))
 
     def _bits(self, horizon: int) -> int:
         flags = bytearray(horizon)

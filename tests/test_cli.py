@@ -13,6 +13,9 @@ from spacelab.psets import MAX_SPEC_DEPTH
 M2 = '{"type":"multiples","k":2}'
 CO3 = '{"type":"complement","of":{"type":"multiples","k":3}}'
 SQUARES = '{"type":"squares"}'
+# no three integers have pairwise odd differences, and the rooted chain
+# search takes 15,001 nodes to say so, so a budget of 1000 runs out
+ODDS = '{"type":"complement","of":{"type":"multiples","k":2}}'
 
 
 def run_cli(capsys, *argv):
@@ -77,8 +80,8 @@ def test_detect_none_result(capsys):
 
 
 def test_budget_exit_code(capsys):
-    code, out, err = run_cli(capsys, "detect", "delta", "--spec", SQUARES,
-                             "--depth", "5", "--bound", "30000",
+    code, out, err = run_cli(capsys, "detect", "delta", "--spec", ODDS,
+                             "--depth", "3", "--bound", "30000",
                              "--budget", "1000")
     assert code == 3
     assert out == ""
@@ -119,16 +122,16 @@ def test_huge_horizon_under_memory_limit_exits_3():
 
 def test_env_budget(capsys, monkeypatch):
     monkeypatch.setenv("SPACELAB_BUDGET", "900")
-    code, _, err = run_cli(capsys, "detect", "delta", "--spec", SQUARES,
-                           "--depth", "5", "--bound", "30000")
+    code, _, err = run_cli(capsys, "detect", "delta", "--spec", ODDS,
+                           "--depth", "3", "--bound", "30000")
     assert code == 3
     assert json.loads(err)["error"]["nodes"] == 901
 
 
 def test_flag_overrides_env(capsys, monkeypatch):
     monkeypatch.setenv("SPACELAB_BUDGET", "900")
-    code, _, err = run_cli(capsys, "detect", "delta", "--spec", SQUARES,
-                           "--depth", "5", "--bound", "30000",
+    code, _, err = run_cli(capsys, "detect", "delta", "--spec", ODDS,
+                           "--depth", "3", "--bound", "30000",
                            "--budget", "500")
     assert code == 3
     assert json.loads(err)["error"]["nodes"] == 501

@@ -36,6 +36,10 @@ CASES = {
                           "200", "--window-grid", "8", "--out", OUT],
     "detect.delta": ["detect", "delta", "--spec", SQ, "--depth", "3",
                      "--bound", "100", "--verify", "--out", OUT],
+    # no 5 integers up to 30000 have only square differences; the rooted
+    # search says "none" after 382 nodes
+    "detect.delta-none": ["detect", "delta", "--spec", SQ, "--depth", "5",
+                          "--bound", "30000", "--budget", "1000"],
     "detect.ip": ["detect", "ip", "--spec", M2, "--depth", "3",
                   "--bound", "64", "--verify", "--out", OUT],
     "detect.ip-none": ["detect", "ip", "--spec",
@@ -76,7 +80,9 @@ CASES = {
                       "--out", OUT],
     "exp.run-squares": ["exp", "run", "squares-zero-entropy", "--param",
                         "deep_budget=1000", "--out", OUT],
-    "error.budget": ["detect", "delta", "--spec", SQ, "--depth", "5",
+    # no three integers have pairwise odd differences; the rooted search
+    # needs 15,001 nodes to say so
+    "error.budget": ["detect", "delta", "--spec", CO2, "--depth", "3",
                      "--bound", "30000", "--budget", "1000"],
     "error.spec": ["lang", "count", "--spec",
                    '{"type":"union","of":[{"type":"multiples","k":0}]}',
@@ -129,13 +135,18 @@ EXPECTED = {
          'positive-entropy-no-periodic.csv': '4aece7eba377674bf9aa00bfedd00ef8a2463402e577478384b4bf443bc68834',
          'positive-entropy-no-periodic.json': '8e8a1cd7e25647f6c37fdca74fbdbebcfd0b2ae6004dd2670032c8cb21f9afc6',
          'squares-zero-entropy.csv': '50bd7e88c8ca44cca57db125d6b7258376eacb9ad745629c2fc5d02a6b589bfc',
-         'squares-zero-entropy.json': '7d5b5351141d338e785c3e3aa86b1d62fa4346ecb49098e799260ac0588de402',
+         # re-pinned when the chain search was rooted at 1: its depth-5
+         # note reads "outcome: none" where it read "exhausted its budget"
+         'squares-zero-entropy.json': '09cd5bc581854d7db6a8f6f2ff793321cab755d9ee9663859b7f54bb86940cff',
          'transitive-needs-ipip.csv': 'f88f6c55ba51d317ca44b5f29387d3d52b5dab1158ef193dad5ac5594d6d19ee',
          'transitive-needs-ipip.json': 'b5379ad6440377031ffc6a017e2bd45c47c856dbbc2f6df6a925446204c8e809',
          'zero-density-zero-entropy.csv': '5f04123edc9777326d6f0e6aff87ca38d1e5c73f9534af39154514eac0f41bc7',
          'zero-density-zero-entropy.json': '3d45b589f346571fc4e4c384053f91825854903126915f0d70f5b8bc92e58787',
          'zero-entropy-proximal.csv': '1f8fca702961e16306c2c2d833b59ecc502c24703d6064428b768b94f74761a5',
          'zero-entropy-proximal.json': '0df20abe8c33663d0a600162acc3dc9a758adb7ee731bb40cf37497c860062ae'}),
+    'detect.delta-none': (0, '95d38efee4581e672c02e6444f80bd586957792630ffdd6fe5abc4752b9d0f9a',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        {}),
     'detect.delta': (0, '7821434422e8ebb116b446814eb32f2faa00f78b6d6cd3514832be58eee2120b',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         {'manifest.json': '3503949797f77c95592a5007d0f8bcf55a5cb9b319d40280597829a2e1aa5a54',
@@ -193,11 +204,13 @@ EXPECTED = {
         {'delta-kills-density.csv': 'f4f8dd49c6220f7e46fa6be57200e18d9f0a82722571a5ffaeee827f48442fbe',
          'delta-kills-density.json': '635e4827656e944bd66c943d847599a7ddcabb93bcb474d9d65b13ee342a141e',
          'manifest.json': '2c870996f741fcba486493009207a77374e5d9f28b396786a6c70277bb793ca6'}),
-    'exp.run-squares': (0, '81cb2f9278fba01d3324935eb451b475c26eac9b08b61fe2bb9644ae34ee70aa',
+    # re-pinned when the chain search was rooted at 1: the depth-5 note
+    # reads "outcome: none" where it read "exhausted its budget"
+    'exp.run-squares': (0, '4ebad1558b51010f3c0ac17b54418f81b02b7030d9f5ac959d2ebdcd4e575432',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         {'manifest.json': 'd245da4782fc0959e3617ba0f46940c42dff04a20a82ad7ee9e075554b77e664',
          'squares-zero-entropy.csv': '50bd7e88c8ca44cca57db125d6b7258376eacb9ad745629c2fc5d02a6b589bfc',
-         'squares-zero-entropy.json': '81cb2f9278fba01d3324935eb451b475c26eac9b08b61fe2bb9644ae34ee70aa'}),
+         'squares-zero-entropy.json': '4ebad1558b51010f3c0ac17b54418f81b02b7030d9f5ac959d2ebdcd4e575432'}),
     'exp.run-trend': (0, '3d45b589f346571fc4e4c384053f91825854903126915f0d70f5b8bc92e58787',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         {'manifest.json': '830d6cee061c160d4a6119486f82b20a326c8a822afd0b6144dbcf1a0865e0b6',

@@ -61,9 +61,24 @@ def test_delta_chain_none():
 
 
 def test_delta_chain_budget():
-    view = build_pset(Squares(), 1000)
-    with pytest.raises(BudgetError):
-        find_delta_chain(view, 5, 1000, budget=100)
+    # no three integers have pairwise odd differences; the rooted search
+    # needs 15,001 nodes to say so
+    view = build_pset(Complement(of=Multiples(k=2)), 30000)
+    with pytest.raises(BudgetError) as exc:
+        find_delta_chain(view, 3, 30000, budget=1000)
+    assert exc.value.nodes == 1001
+
+
+@pytest.mark.parametrize("spec, depth, bound, budget", [
+    # rooted at 1, the search visits 382 legal positions
+    (Squares(), 5, 30000, 1000),
+    # pigeonhole mod 3: of any four integers, two differ by a multiple
+    # of 3; the search visits 17,956 legal positions to say so
+    (Complement(of=Multiples(k=3)), 4, 400, 100_000),
+], ids=["squares", "co_multiples_3"])
+def test_delta_chain_rooted_search_answers_none(spec, depth, bound, budget):
+    view = build_pset(spec, bound)
+    assert find_delta_chain(view, depth, bound, budget=budget) is None
 
 
 def test_delta_chain_deeper_than_the_stack():

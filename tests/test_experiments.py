@@ -74,6 +74,14 @@ def test_squares_notes_record_deep_search():
     assert any("depth-5" in note for note in report.notes)
 
 
+def test_squares_notes_record_deep_search_budget():
+    report = run_experiment("squares-zero-entropy",
+                            {"deep_budget": 100, "search_bound": 3000})
+    assert report.verdict == "consistent"
+    assert ("depth-5 search exhausted its budget after 101 nodes "
+            "(reported, not asserted)") in report.notes
+
+
 def test_run_all_order_and_verdicts():
     reports = run_all()
     assert tuple(r.experiment for r in reports) == EXPECTED_IDS

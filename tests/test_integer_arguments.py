@@ -41,8 +41,12 @@ CALLS = {
     "density_report window": lambda x: density_report(SQUARES, [x]),
     "density_report n0": lambda x: density_report(SQUARES, [4], n0=x),
     "count_words n": lambda x: count_words(SQUARES, x),
+    "count_words budget": lambda x: count_words(SQUARES, 20, budget=x),
     "max_ones n": lambda x: max_ones(SQUARES, x),
+    "max_ones budget": lambda x: max_ones(SQUARES, 20, budget=x),
     "entropy_profile n_grid": lambda x: entropy_profile(SQUARES, [x]),
+    "entropy_profile budget":
+        lambda x: entropy_profile(SQUARES, [20], budget=x),
     "greedy_point horizon": lambda x: greedy_point(SQUARES, x),
     "find_join_gap gap_cap": lambda x: find_join_gap(FULL, U, U, x),
     "transitive_gap_check word_len_cap":
@@ -56,12 +60,18 @@ CALLS = {
         lambda x: find_delta_chain(FULL, x, 64, budget=BUDGET),
     "find_delta_chain search_bound":
         lambda x: find_delta_chain(FULL, 3, x, budget=BUDGET),
+    "find_delta_chain budget":
+        lambda x: find_delta_chain(SQUARES, 3, 100, budget=x),
     "find_ip_generator depth":
         lambda x: find_ip_generator(FULL, x, 64, budget=BUDGET),
     "find_ip_generator search_bound":
         lambda x: find_ip_generator(FULL, 2, x, budget=BUDGET),
     "find_ip_ip_generator depth":
         lambda x: find_ip_ip_generator(FULL, x, 64, budget=BUDGET),
+    "find_ip_generator budget":
+        lambda x: find_ip_generator(FULL, 3, 64, budget=x),
+    "find_ip_ip_generator budget":
+        lambda x: find_ip_ip_generator(FULL, 3, 64, budget=x),
     "Configuration length": lambda x: Configuration(x, ()),
     "f_statistic l": lambda x: f_statistic(X, Y, x, [8]),
     "f_statistic n_grid": lambda x: f_statistic(X, Y, 0, [x]),

@@ -251,30 +251,40 @@ def ref_scan(ps, horizon, keep=None):
 
 
 def ref_chain(ps, depth, bound, budget):
-    """Least chain by depth-first search, one node per candidate tested;
+    """Least chain by a recursive search rooted at 1, on sets: the root
+    (1,) is node 1 and each legal position appended is one more node;
     returns ("chain", tuple), ("none",) or ("budget", nodes)."""
     nodes = 0
 
     def rec(chain):
         nonlocal nodes
-        for s in range(chain[-1] + 1 if chain else 1, bound + 1):
-            nodes += 1
-            if nodes > budget:
-                raise BudgetError("reference budget", nodes)
-            if all(s - c in ps for c in chain):
-                found = chain + (s,)
-                if len(found) == depth:
-                    return found
-                found = rec(found)
-                if found:
-                    return found
+        nodes += 1
+        if nodes > budget:
+            raise BudgetError("reference budget", nodes)
+        if len(chain) == depth:
+            return chain
+        legal = set(range(chain[-1] + 1, bound + 1))
+        for c in chain:
+            legal &= {c + p for p in ps}
+        for s in sorted(legal):
+            found = rec(chain + (s,))
+            if found:
+                return found
         return None
 
     try:
-        found = rec(())
+        found = rec((1,))
     except BudgetError as exc:
         return ("budget", exc.nodes)
     return ("chain", found) if found else ("none",)
+
+
+def brute_chain(ps, depth, bound):
+    """Least chain among all depth-subsets of [1..bound], from any start
+    and without a budget, or None."""
+    return next((c for c in itertools.combinations(range(1, bound + 1), depth)
+                 if all(b - a in ps for a, b in itertools.combinations(c, 2))),
+                None)
 
 
 def ref_generator(ps, depth, bound, budget, pairwise):
@@ -434,6 +444,10 @@ def test_delta_chain_matches_reference(case, depth, data):
     view, ps = case
     bound = data.draw(st.integers(min_value=1, max_value=view.horizon))
     budget = data.draw(st.integers(min_value=0, max_value=400))
+    # the translation argument: rooting at 1 loses no chain
+    unrooted = brute_chain(ps, depth, bound)
+    assert ref_chain(ps, depth, bound, float("inf")) == (
+        ("chain", unrooted) if unrooted else ("none",))
     expected = ref_chain(ps, depth, bound, budget)
     if expected[0] == "budget":
         with pytest.raises(BudgetError) as exc:
