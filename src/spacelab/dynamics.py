@@ -6,7 +6,8 @@ The metric is fixed as d(x, y) = 2^-min{i : x_i != y_i}, so closeness
 below 2^-l is exactly agreement on a length-(l+1) block.  Every probe
 of two points reads their disagreement mask x XOR y: the least agreeing
 block is one substring search over its digits, and an agreement count
-is one popcount of that mask OR-ed over l + 1 shifts, so all are exact.
+is one popcount of that mask OR-ed over l + 1 consecutive shifts, taken
+as O(log l) doubling shifts, so all are exact.
 """
 
 from __future__ import annotations
@@ -153,10 +154,12 @@ def f_statistic(x: OrbitPoint, y: OrbitPoint, l: int,
     if grid[-1] + l > x.config.length:
         raise ValidationError("n_grid plus block length exceeds the horizon")
     diff = x.config.ones_mask() ^ y.config.ones_mask()
-    # bit m of apart is set iff x and y disagree somewhere in [m, m+l]
-    apart = 0
-    for shift in range(l + 1):
-        apart |= diff >> shift
+    # bit m of apart is set iff x and y disagree somewhere in [m, m+l];
+    # each OR doubles the window, the last one only up to width l + 1
+    apart, width = diff, 1
+    while width <= l:
+        apart |= apart >> min(width, l + 1 - width)
+        width = min(2 * width, l + 1)
     values = [(n, Fraction(n - (apart & ((1 << n) - 1)).bit_count(), n))
               for n in grid]
     tail = values[-max(1, len(values) // 4):]

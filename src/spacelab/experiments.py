@@ -11,6 +11,12 @@ Trend assertions use a fixed rule: the last grid value must be at most
 half the first, and no step may increase by more than log2(n+1)/n slack.
 Exact monotonicity fails for small-n parity effects, which is what the
 slack absorbs.
+
+The per-length tables of c_n, h_n and omega_n are the rows of
+``language.entropy_profile`` in ``n_grid`` order, repeats kept; budgets
+run out as in a loop over the grid.  A runner returns its observations,
+checks and notes, and ``run_experiment`` alone names the report and sets
+its verdict.
 """
 
 from __future__ import annotations
@@ -25,12 +31,12 @@ from .detect import (check_bohr_avoidance, find_delta_chain,
                      find_ip_ip_generator)
 from .dynamics import named_points, periodic_point_check, proximal_probe
 from .errors import DEFAULT_BUDGET, BudgetError, ValidationError
-from .language import (Configuration, count_words, greedy_point,
+from .language import (Configuration, entropy_profile, greedy_point,
                        is_admissible, max_ones, scan_point,
                        transitive_gap_check)
-from .psets import (Complement, DiffSet, Explicit, Multiples, PSetSpec,
+from .psets import (Complement, DiffSet, Explicit, Multiples, PSetView,
                     Squares, build_pset, density_report, parse_spec)
-from .reports import frac_str
+from .reports import float17, frac_str
 
 
 @dataclass(frozen=True)
@@ -44,13 +50,7 @@ class ExperimentReport:
     notes: tuple
 
     def to_json(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "params": self.params,
-            "observations": self.observations,
-            "verdict": self.verdict,
-            "notes": list(self.notes),
-        }
+        return {**vars(self), "notes": list(self.notes)}
 
 
 # JSON type names, "integer" apart from other numbers
@@ -105,54 +105,51 @@ def _merge(defaults: dict, overrides: Optional[dict]) -> dict:
 def _finish(exp_id: str, params: dict, observations: dict, checks: list,
             notes: list) -> ExperimentReport:
     failed = [label for label, ok in checks if not ok]
-    verdict = "consistent" if not failed else "violation"
-    notes = list(notes)
-    for label in failed:
-        notes.append(f"failed check: {label}")
-    observations = dict(observations)
-    observations["checks"] = [[label, bool(ok)] for label, ok in checks]
-    return ExperimentReport(experiment=exp_id, params=params,
-                            observations=observations, verdict=verdict,
-                            notes=tuple(notes))
+    return ExperimentReport(
+        experiment=exp_id, params=params,
+        observations={**observations, "checks": [[label, bool(ok)]
+                                                 for label, ok in checks]},
+        verdict="violation" if failed else "consistent",
+        notes=tuple(notes) + tuple(f"failed check: {label}"
+                                   for label in failed))
 
 
-def _trend_down(ns: list, counts: list) -> bool:
+def _trend_down(rows: list) -> bool:
     # the trend rule on h_n = log2(c_n) / n, decided on integers:
     # log2(a) / m <= log2(b) / k  iff  a^k <= b^m
-    if counts[-1] ** (2 * ns[0]) > counts[0] ** ns[-1]:
+    first, last = rows[0], rows[-1]
+    if last.count ** (2 * first.n) > first.count ** last.n:
         return False
-    for i in range(len(counts) - 1):
-        if counts[i + 1] ** ns[i] > (counts[i] * (ns[i] + 1)) ** ns[i + 1]:
-            return False
-    return True
+    return all(b.count ** a.n <= (a.count * (a.n + 1)) ** b.n
+               for a, b in zip(rows, rows[1:]))
+
+
+def _profile(view: PSetView, n_grid: list, budget: int) -> list:
+    # entropy_profile's rows in n_grid order, repeats kept.  A length past
+    # the horizon is the largest of the grid up to it, so the profile of
+    # that prefix ends by raising for it, as a loop in grid order would
+    cut = next((i + 1 for i, n in enumerate(n_grid) if n > view.horizon),
+               len(n_grid))
+    rows = {row.n: row
+            for row in entropy_profile(view, n_grid[:cut], budget=budget).rows}
+    return [rows[n] for n in n_grid]
 
 
 def _binom_tail(n: int, k: int) -> int:
     return sum(math.comb(n, j) for j in range(0, min(n, k) + 1))
 
 
-def _co_multiples(k: int) -> PSetSpec:
-    return Complement(Multiples(k))
-
-
-def _exp_delta_kills_density(params: dict, budget: int) -> ExperimentReport:
-    k = params["k"]
-    n_grid = list(params["n_grid"])
-    horizon = params["horizon"]
-    window_grid = list(params["window_grid"])
-    view = build_pset(_co_multiples(k), horizon)
-
+def _exp_delta_kills_density(params: dict, budget: int) -> tuple:
+    k, horizon = params["k"], params["horizon"]
+    view = build_pset(Complement(Multiples(k)), horizon)
     checks = []
     rows = []
-    witness = None
-    for n in n_grid:
-        omega, config = max_ones(view, n, budget=budget)
+    for n in params["n_grid"]:
+        omega, witness = max_ones(view, n, budget=budget)
         rows.append([n, omega, frac_str(Fraction(omega, n))])
         checks.append((f"omega({n}) <= {k}", omega <= k))
-        witness = config
-    padded = witness.padded(horizon)
-    a_w = build_pset(Explicit(tuple(p + 1 for p in padded.ones)), horizon)
-    dens = density_report(a_w, window_grid)
+    a_w = build_pset(Explicit(tuple(p + 1 for p in witness.ones)), horizon)
+    dens = density_report(a_w, list(params["window_grid"]))
     banach = [d for _, d in dens.banach_profile]
     checks.append(("witness banach profile non-increasing",
                    all(b >= c for b, c in zip(banach, banach[1:]))))
@@ -163,53 +160,41 @@ def _exp_delta_kills_density(params: dict, budget: int) -> ExperimentReport:
         "witness_ones": list(witness.ones),
         "witness_banach": [[w, frac_str(d)] for w, d in dens.banach_profile],
     }
-    return _finish("delta-kills-density", params, observations, checks, [])
+    return observations, checks, []
 
 
-def _exp_zero_density_zero_entropy(params: dict, budget: int) -> ExperimentReport:
-    horizon = params["horizon"]
-    n_grid = list(params["n_grid"])
+def _exp_zero_density_zero_entropy(params: dict, budget: int) -> tuple:
     checks = []
     rows = []
-    notes = []
     for k in params["k_grid"]:
-        view = build_pset(_co_multiples(k), horizon)
-        counts = []
-        for n in n_grid:
-            c = count_words(view, n, budget=budget)
-            h = math.log2(c) / n
-            counts.append(c)
-            rows.append([k, n, c, f"{h:.17g}"])
-            checks.append((f"k={k}: c({n}) polynomially bounded",
-                           c <= _binom_tail(n, k)))
-        checks.append((f"k={k}: h_n trends to zero",
-                       _trend_down(n_grid, counts)))
+        view = build_pset(Complement(Multiples(k)), params["horizon"])
+        profile = _profile(view, params["n_grid"], budget)
+        for r in profile:
+            rows.append([k, r.n, r.count, float17(r.entropy)])
+            checks.append((f"k={k}: c({r.n}) polynomially bounded",
+                           r.count <= _binom_tail(r.n, k)))
+        checks.append((f"k={k}: h_n trends to zero", _trend_down(profile)))
     observations = {
         "table": {"columns": ["k", "n", "c_n", "h_n"], "rows": rows},
     }
-    return _finish("zero-density-zero-entropy", params, observations,
-                   checks, notes)
+    return observations, checks, []
 
 
-def _exp_density_entropy_bound(params: dict, budget: int) -> ExperimentReport:
-    horizon = params["horizon"]
-    n_grid = list(params["n_grid"])
+def _exp_density_entropy_bound(params: dict, budget: int) -> tuple:
     checks = []
     rows = []
     for k in params["k_grid"]:
-        view = build_pset(Multiples(k), horizon)
-        for n in n_grid:
-            c = count_words(view, n, budget=budget)
-            omega, _ = max_ones(view, n, budget=budget)
+        view = build_pset(Multiples(k), params["horizon"])
+        for r in _profile(view, params["n_grid"], budget):
+            rows.append([k, r.n, r.count, r.omega, frac_str(r.omega_over_n)])
             # h_n >= omega/n - log2(n+1)/n, exactly: (n+1) c(n) >= 2^omega
-            ok = (n + 1) * c >= 1 << omega
-            rows.append([k, n, c, omega, frac_str(Fraction(omega, n))])
-            checks.append((f"k={k}, n={n}: (n+1)c(n) >= 2^omega", ok))
+            checks.append((f"k={k}, n={r.n}: (n+1)c(n) >= 2^omega",
+                           (r.n + 1) * r.count >= 1 << r.omega))
     observations = {
         "table": {"columns": ["k", "n", "c_n", "omega_n", "omega_over_n"],
                   "rows": rows},
     }
-    return _finish("density-entropy-bound", params, observations, checks, [])
+    return observations, checks, []
 
 
 def _classify_ratio(ratio: float) -> str:
@@ -220,41 +205,34 @@ def _classify_ratio(ratio: float) -> str:
     return "ambiguous"
 
 
-def _exp_entropy_iff_banach(params: dict, budget: int) -> ExperimentReport:
-    horizon = params["horizon"]
-    n_grid = list(params["n_grid"])
+def _exp_entropy_iff_banach(params: dict, budget: int) -> tuple:
     checks = []
     rows = []
     notes = []
     for name, spec in corpus.iter_corpus():
-        view = build_pset(spec, horizon)
-        hs = []
-        omegas = []
-        for n in n_grid:
-            c = count_words(view, n, budget=budget)
-            omega, _ = max_ones(view, n, budget=budget)
-            hs.append(math.log2(c) / n)
-            omegas.append(Fraction(omega, n))
-            rows.append([name, n, c, omega])
+        view = build_pset(spec, params["horizon"])
+        profile = _profile(view, params["n_grid"], budget)
+        for r in profile:
+            rows.append([name, r.n, r.count, r.omega])
             # exact sandwich tying entropy to the best window density:
             # every subset of a maximum configuration is admissible, and
             # no word carries more than omega ones
-            checks.append((f"{name}, n={n}: 2^omega <= c(n)",
-                           (1 << omega) <= c))
-            checks.append((f"{name}, n={n}: c(n) <= sum C(n,j), j<=omega",
-                           c <= _binom_tail(n, omega)))
-        h_ratio = hs[-1] / hs[0]
-        w_ratio = float(omegas[-1] / omegas[0])
+            checks.append((f"{name}, n={r.n}: 2^omega <= c(n)",
+                           (1 << r.omega) <= r.count))
+            checks.append((f"{name}, n={r.n}: c(n) <= sum C(n,j), j<=omega",
+                           r.count <= _binom_tail(r.n, r.omega)))
+        h_ratio = profile[-1].entropy / profile[0].entropy
+        w_ratio = float(profile[-1].omega_over_n / profile[0].omega_over_n)
         notes.append(f"{name}: h trend {_classify_ratio(h_ratio)} "
                      f"({h_ratio:.3f}), omega/n trend "
                      f"{_classify_ratio(w_ratio)} ({w_ratio:.3f})")
     observations = {
         "table": {"columns": ["member", "n", "c_n", "omega_n"], "rows": rows},
     }
-    return _finish("entropy-iff-banach", params, observations, checks, notes)
+    return observations, checks, notes
 
 
-def _exp_zero_entropy_proximal(params: dict, budget: int) -> ExperimentReport:
+def _exp_zero_entropy_proximal(params: dict, budget: int) -> tuple:
     horizon = params["horizon"]
     blocks = list(params["block_grid"])
     checks = []
@@ -265,24 +243,20 @@ def _exp_zero_entropy_proximal(params: dict, budget: int) -> ExperimentReport:
                               budget=budget)
         for x in points:
             for y in points:
-                hits = []
-                ok = True
-                for block in blocks:
-                    m = proximal_probe(x, y, block)
-                    hits.append("-" if m is None else m)
-                    ok = ok and m is not None
-                rows.append([name, x.label, y.label] + hits)
-                checks.append(
-                    (f"{name}: {x.label} vs {y.label} hits all blocks", ok))
+                hits = [proximal_probe(x, y, block) for block in blocks]
+                rows.append([name, x.label, y.label] +
+                            ["-" if m is None else m for m in hits])
+                checks.append((f"{name}: {x.label} vs {y.label} hits all "
+                               "blocks", None not in hits))
     observations = {
         "table": {"columns": ["member", "x", "y"] +
                   [f"m_at_block_{b}" for b in blocks],
                   "rows": rows},
     }
-    return _finish("zero-entropy-proximal", params, observations, checks, [])
+    return observations, checks, []
 
 
-def _exp_transitive_needs_ipip(params: dict, budget: int) -> ExperimentReport:
+def _exp_transitive_needs_ipip(params: dict, budget: int) -> tuple:
     checks = []
     notes = []
     ipip_view = build_pset(corpus.load_member(params["ipip_member"]),
@@ -313,29 +287,19 @@ def _exp_transitive_needs_ipip(params: dict, budget: int) -> ExperimentReport:
                            ["defect", defect.total_pairs,
                             defect.joinable_pairs]]},
     }
-    return _finish("transitive-needs-ipip", params, observations, checks,
-                   notes)
+    return observations, checks, notes
 
 
-def _exp_squares_zero_entropy(params: dict, budget: int) -> ExperimentReport:
-    n_grid = list(params["n_grid"])
+def _exp_squares_zero_entropy(params: dict, budget: int) -> tuple:
     lang_view = build_pset(Complement(Squares()), params["lang_horizon"])
-    checks = []
-    rows = []
+    profile = _profile(lang_view, params["n_grid"], budget)
+    first, last = profile[0], profile[-1]
     notes = []
-    counts = []
-    omegas = []
-    for n in n_grid:
-        c = count_words(lang_view, n, budget=budget)
-        omega, _ = max_ones(lang_view, n, budget=budget)
-        counts.append(c)
-        omegas.append(Fraction(omega, n))
-        rows.append([n, c, f"{math.log2(c) / n:.17g}", omega])
     # h_last < h_first, exactly: c_last^n_first < c_first^n_last
-    checks.append(("h_n strictly decreases across the grid",
-                   counts[-1] ** n_grid[0] < counts[0] ** n_grid[-1]))
-    checks.append(("omega/n strictly decreases across the grid",
-                   omegas[-1] < omegas[0]))
+    checks = [("h_n strictly decreases across the grid",
+               last.count ** first.n < first.count ** last.n),
+              ("omega/n strictly decreases across the grid",
+               last.omega_over_n < first.omega_over_n)]
 
     search_view = build_pset(Squares(), params["search_bound"])
     depth = params["chain_depth"]
@@ -356,14 +320,14 @@ def _exp_squares_zero_entropy(params: dict, budget: int) -> ExperimentReport:
         outcome = "none" if deep is None else f"{list(deep.payload)}"
         notes.append(f"depth-{params['deep_depth']} search outcome: {outcome}")
     observations = {
-        "table": {"columns": ["n", "c_n", "h_n", "omega_n"], "rows": rows},
+        "table": {"columns": ["n", "c_n", "h_n", "omega_n"],
+                  "rows": [[r.n, r.count, float17(r.entropy), r.omega]
+                           for r in profile]},
     }
-    return _finish("squares-zero-entropy", params, observations, checks,
-                   notes)
+    return observations, checks, notes
 
 
-def _exp_positive_entropy_no_periodic(params: dict,
-                                      budget: int) -> ExperimentReport:
+def _exp_positive_entropy_no_periodic(params: dict, budget: int) -> tuple:
     checks = []
     notes = []
     s_horizon = params["s_horizon"]
@@ -418,17 +382,15 @@ def _exp_positive_entropy_no_periodic(params: dict,
                            "rows": bohr_rows},
         "candidate_size": len(s_set),
     }
-    return _finish("positive-entropy-no-periodic", params, observations,
-                   checks, notes)
+    return observations, checks, notes
 
 
-def _exp_high_density_trivial_dynamics(params: dict,
-                                       budget: int) -> ExperimentReport:
+def _exp_high_density_trivial_dynamics(params: dict, budget: int) -> tuple:
     horizon = params["horizon"]
     checks = []
     rows = []
     for k in params["k_grid"]:
-        view = build_pset(_co_multiples(k), horizon)
+        view = build_pset(Complement(Multiples(k)), horizon)
         dens = density_report(view, list(params["window_grid"]))
         prefix = dens.prefix_densities[-1][1]
         target = 1 - Fraction(1, k)
@@ -443,11 +405,11 @@ def _exp_high_density_trivial_dynamics(params: dict,
         "table": {"columns": ["k", "prefix_density", "lower_est",
                               "upper_est", "greedy_ones"], "rows": rows},
     }
-    return _finish("high-density-trivial-dynamics", params, observations,
-                   checks, [])
+    return observations, checks, []
 
 
-# id -> (runner, pinned default parameters)
+# id -> (runner, pinned default parameters); a runner returns its
+# observations, its checks as (label, ok) pairs and its notes
 _EXPERIMENTS = {
     "delta-kills-density": (_exp_delta_kills_density, {
         "k": 3,
@@ -535,12 +497,12 @@ def run_experiment(exp_id: str, overrides: Optional[dict] = None,
     runner, defaults = _EXPERIMENTS[exp_id]
     params = _merge(defaults, overrides)
     try:
-        return runner(params, budget)
+        observations, checks, notes = runner(params, budget)
     except BudgetError as err:
-        return ExperimentReport(
-            experiment=exp_id, params=params,
-            observations={"checks": []}, verdict="inconclusive",
-            notes=(f"budget exhausted after {err.nodes} nodes: {err}",))
+        return ExperimentReport(exp_id, params, {"checks": []}, "inconclusive",
+                                (f"budget exhausted after {err.nodes} nodes: "
+                                 f"{err}",))
+    return _finish(exp_id, params, observations, checks, notes)
 
 
 def run_all(budget: int = DEFAULT_BUDGET) -> list:

@@ -321,9 +321,12 @@ def entropy_profile(view: PSetView, n_grid: Sequence[int],
                     budget: int = DEFAULT_BUDGET) -> LanguageProfile:
     """Exact counts and entropy estimates over a grid of word lengths.
 
-    In optimized mode the counts share one memo, so ``budget`` caps the
-    memo entries added over the whole grid; each ``max_ones`` call gets
-    its own ``budget``.
+    In optimized mode the counts share one memo over the ascending grid,
+    so ``budget`` caps the memo entries added over the whole grid; each
+    ``max_ones`` call gets its own ``budget``.  Dropping vertex 0 from the
+    full mask of length n gives that of n - 1, so the memo of each n holds
+    those of all smaller n: the shared memo runs out where a standalone
+    ``count_words`` would, with the same :class:`BudgetError`.
     """
     grid = list(n_grid)
     for n in grid:

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -198,3 +199,30 @@ def test_periodic_validation(m3_view):
         periodic_point_check(m3_view, 0, 30)
     with pytest.raises(ValidationError):
         periodic_point_check(m3_view, 3, 100)
+
+
+def _linear_apart(diff, l):
+    # the reference: the disagreement mask OR-ed over all l + 1 shifts
+    apart = 0
+    for shift in range(l + 1):
+        apart |= diff >> shift
+    return apart
+
+
+def test_f_statistic_matches_linear_or():
+    # sparse to dense disagreements, every l, and every n the horizon allows
+    rng = random.Random(7)
+    for _ in range(300):
+        horizon = rng.randint(1, 300)
+        flip = rng.choice([0.01, 0.05, 0.2, 0.5])
+        x = [rng.choice("01") for _ in range(horizon)]
+        y = ["10"[int(c)] if rng.random() < flip else c for c in x]
+        px, py = (OrbitPoint(config=Configuration.from_word("".join(w)),
+                             label="", admissible=True, spec_digest="")
+                  for w in (x, y))
+        l = rng.randint(0, horizon - 1)
+        grid = range(1, horizon - l + 1)
+        apart = _linear_apart(px.config.ones_mask() ^ py.config.ones_mask(), l)
+        assert f_statistic(px, py, l, grid).values == tuple(
+            (n, Fraction(n - (apart & ((1 << n) - 1)).bit_count(), n))
+            for n in grid)

@@ -543,6 +543,30 @@ def test_profile_rows_match_standalone_calls(case, data):
         for n in sorted(set(grid))]
 
 
+@given(case=small_sets(), data=st.data())
+@SETTINGS
+def test_profile_budget_matches_standalone_sequence(case, data):
+    # the shared memo over an ascending grid runs out exactly where the
+    # standalone count_words, max_ones sequence does, with the same error
+    view, _ = case
+    grid = sorted(set(data.draw(st.lists(
+        st.integers(min_value=1, max_value=view.horizon),
+        min_size=1, max_size=5))))
+    for budget in data.draw(st.lists(st.integers(min_value=1, max_value=300),
+                                     min_size=1, max_size=4)):
+        try:
+            expected = [(n, count_words(view, n, budget=budget),
+                         max_ones(view, n, budget=budget)[0]) for n in grid]
+        except BudgetError as err:
+            with pytest.raises(BudgetError) as got:
+                entropy_profile(view, grid, budget=budget)
+            assert (got.value.nodes, str(got.value)) == (err.nodes, str(err))
+        else:
+            profile = entropy_profile(view, grid, budget=budget)
+            assert [(row.n, row.count, row.omega)
+                    for row in profile.rows] == expected
+
+
 def ref_memo_entries(ps, n):
     """Distinct keys of the nonempty candidate sets that the counter
     reaches from {0..n-1}.  The key of S is the smaller of S shifted to
