@@ -131,8 +131,9 @@ def _cmd_pset_density(args, view) -> tuple:
         "banach.csv": reports.density_banach_csv(report),
     }
     if args.plot and args.out:
-        xs = [n for n, _ in report.prefix_densities]
-        ys = [float(d) for _, d in report.prefix_densities]
+        # count / n is correctly rounded, so equal to float(Fraction(count, n))
+        xs = list(range(1, report.horizon + 1))
+        ys = [count / n for n, count in zip(xs, report.prefix_counts)]
         files["density.svg"] = reports.svg_line_plot(
             [("prefix", xs, ys)], "prefix density", "n", "density")
     return text, files, {"n0": report.n0, "window_grid": grid}

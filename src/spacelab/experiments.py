@@ -392,7 +392,7 @@ def _exp_high_density_trivial_dynamics(params: dict, budget: int) -> tuple:
     for k in params["k_grid"]:
         view = build_pset(Complement(Multiples(k)), horizon)
         dens = density_report(view, list(params["window_grid"]))
-        prefix = dens.prefix_densities[-1][1]
+        prefix = Fraction(dens.prefix_counts[-1], horizon)
         target = 1 - Fraction(1, k)
         checks.append((f"k={k}: prefix density >= 1 - 1/{k}",
                        prefix >= target))

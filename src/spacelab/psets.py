@@ -12,7 +12,8 @@ one O(H) step, because setting one bit of an H-bit int costs O(H / 64);
 the squares, √H of them, set their bits directly, and finite sums grow
 by one shift-or per generator.  A view tests a whole set of positions
 against P in one place, :meth:`PSetView.admits`.  Densities are exact
-rationals, and their extremes are found by integer cross-multiplication.
+rationals, built on demand from stored integer prefix counts, and their
+extremes are found by integer cross-multiplication.
 
 Conventions: N starts at 1.  Word positions elsewhere in the package are
 0-based; the difference of two positions is the 1-based number looked up
@@ -516,19 +517,30 @@ def elements(view: PSetView) -> list:
 class DensityReport:
     """Exact finite-horizon density profile of a set.
 
-    ``prefix_densities`` holds |A intersect [1..n]| / n for every n up to
-    the horizon; ``lower_est``/``upper_est`` are the min/max of those over
-    n >= n0 (the cutoff damps initial transients and is reported, not
-    hidden); ``banach_profile`` maps each window length W to the best
-    window density max over m of |A intersect (m, m+W]| / W.
+    ``prefix_counts`` holds |A intersect [1..n]| for every n up to the
+    horizon, as plain ints, stored at the cost of one addition each;
+    :attr:`prefix_densities` builds the rationals count/n from them on
+    first read, at the cost of one ``Fraction`` (a gcd) each, several
+    times the whole report's.  ``lower_est``/``upper_est`` are the
+    min/max of the prefix densities over n >= n0 (the cutoff damps
+    initial transients and is reported, not hidden); ``banach_profile``
+    maps each window length W to the best window density max over m of
+    |A intersect (m, m+W]| / W.
     """
 
     horizon: int
     n0: int
-    prefix_densities: tuple
+    prefix_counts: tuple
     lower_est: Fraction
     upper_est: Fraction
     banach_profile: tuple
+
+    @cached_property
+    def prefix_densities(self) -> tuple:
+        """``(n, Fraction(count, n))`` for every n up to the horizon,
+        built from ``prefix_counts`` on first read and cached."""
+        return tuple((n, Fraction(count, n))
+                     for n, count in enumerate(self.prefix_counts, 1))
 
 
 def _max_window_count(table: bytes, width: int) -> int:
@@ -542,11 +554,14 @@ def density_report(view: PSetView, window_grid: Sequence[int],
                    n0: Optional[int] = None) -> DensityReport:
     """Compute the four density notions of the profile exactly.
 
-    Runs in O(H * (1 + len(window_grid))) and no float decides
-    anything.  The tail extremes are found on a second streamed pass
-    over the prefix counts, comparing count/n as integer cross-products;
+    Runs in O(H * (1 + len(window_grid))) integer steps and no float
+    decides anything.  The H prefix counts are stored; their H
+    ``Fraction``s are not built here but on the first read of
+    ``prefix_densities``.  The tail extremes are found by a scan over
+    the stored counts, comparing count/n as integer cross-products;
     each reported extreme is the rational already in
-    ``prefix_densities`` (at the least n >= n0 where it occurs).
+    ``prefix_densities`` (at the least n >= n0 where it occurs), since
+    both are ``Fraction(count, n)`` of the same count and n.
 
     Parameters
     ----------
@@ -570,10 +585,9 @@ def density_report(view: PSetView, window_grid: Sequence[int],
         check_int(w, f"window length {w!r} outside [1..{H}]", 1, H)
 
     table = view.table
-    prefix = tuple((n, Fraction(count, n))
-                   for n, count in enumerate(accumulate(table[1:]), 1))
-    # c/n < c'/n' iff c * n' < c' * n; no list of H counts is kept
-    tail = zip(range(n0, H + 1), islice(accumulate(table[1:]), n0 - 1, None))
+    counts = tuple(accumulate(table[1:]))
+    # c/n < c'/n' iff c * n' < c' * n
+    tail = zip(range(n0, H + 1), islice(counts, n0 - 1, None))
     lo_n, lo_count = hi_n, hi_count = next(tail)
     for n, count in tail:
         if count * lo_n < lo_count * n:
@@ -582,7 +596,7 @@ def density_report(view: PSetView, window_grid: Sequence[int],
             hi_n, hi_count = n, count
     banach = tuple((w, Fraction(_max_window_count(table, w), w))
                    for w in grid)
-    return DensityReport(horizon=H, n0=n0, prefix_densities=prefix,
-                         lower_est=prefix[lo_n - 1][1],
-                         upper_est=prefix[hi_n - 1][1],
+    return DensityReport(horizon=H, n0=n0, prefix_counts=counts,
+                         lower_est=Fraction(lo_count, lo_n),
+                         upper_est=Fraction(hi_count, hi_n),
                          banach_profile=banach)

@@ -13,6 +13,7 @@ import datetime
 import json
 import os
 from fractions import Fraction
+from math import gcd
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
@@ -67,12 +68,18 @@ def density_json(report: DensityReport) -> dict:
         "lower_est": frac_str(report.lower_est),
         "upper_est": frac_str(report.upper_est),
         "banach_profile": [[w, frac_str(d)] for w, d in report.banach_profile],
-        "prefix_final": frac_str(report.prefix_densities[-1][1]),
+        "prefix_final": frac_str(Fraction(report.prefix_counts[-1],
+                                          report.horizon)),
     }
 
 
 def density_prefix_csv(report: DensityReport) -> str:
-    rows = [(n, frac_str(d)) for n, d in report.prefix_densities]
+    # each row is frac_str(Fraction(count, n)), reduced by one gcd
+    # without building the Fraction
+    rows = []
+    for n, count in enumerate(report.prefix_counts, 1):
+        g = gcd(count, n)
+        rows.append((n, f"{count // g}/{n // g}"))
     return csv_text(("n", "prefix_density"), rows)
 
 

@@ -484,11 +484,17 @@ def test_scans_and_densities_match_reference(case, data):
                               min_size=1, max_size=3))
     n0 = data.draw(st.integers(min_value=1, max_value=H))
     report = density_report(view, grid, n0=n0)
-    prefix = tuple((n, Fraction(len([m for m in ps if m <= n]), n))
-                   for n in range(1, H + 1))
+    counts = tuple(len([m for m in ps if m <= n]) for n in range(1, H + 1))
+    assert report.prefix_counts == counts
+    prefix = tuple((n, Fraction(c, n)) for n, c in enumerate(counts, 1))
     assert report.prefix_densities == prefix
+    assert report.prefix_densities is report.prefix_densities
     tail = [d for n, d in prefix if n >= n0]
     assert (report.lower_est, report.upper_est) == (min(tail), max(tail))
+    # each extreme is the prefix density at the least n >= n0 reaching it
+    for est in (report.lower_est, report.upper_est):
+        n = next(n for n, d in prefix if n >= n0 and d == est)
+        assert est == report.prefix_densities[n - 1][1]
     assert report.banach_profile == tuple(
         (w, Fraction(max(len([n for n in ps if m < n <= m + w])
                          for m in range(H - w + 1)), w))

@@ -13,6 +13,7 @@ from spacelab import (
     member,
     parse_spec,
 )
+from spacelab import corpus
 from spacelab.psets import (
     MAX_SPEC_DEPTH,
     Bohr,
@@ -26,6 +27,7 @@ from spacelab.psets import (
     Squares,
     Union,
 )
+from spacelab.reports import density_prefix_csv
 
 
 def test_explicit_membership():
@@ -37,10 +39,12 @@ def test_explicit_membership():
 
 def test_member_out_of_horizon():
     view = build_pset(Explicit(elems=(2,)), 8)
-    with pytest.raises(ValidationError):
-        member(view, 9)
-    with pytest.raises(ValidationError):
-        member(view, 0)
+    for n, text in ((9, "membership query 9 outside horizon [1..8]"),
+                    (0, "membership query 0 outside horizon [1..8]"),
+                    (True, "membership query True outside horizon [1..8]")):
+        with pytest.raises(ValidationError) as err:
+            member(view, n)
+        assert str(err.value) == text
 
 
 def test_multiples_and_complement():
@@ -253,6 +257,22 @@ def test_density_exact_fractions(co2_view):
                                      (32, Fraction(1, 2)))
     assert report.lower_est == Fraction(1, 2)
     assert report.upper_est == Fraction(17, 33)
+
+
+@pytest.mark.parametrize("name", corpus.MEMBERS)
+def test_density_prefix_csv_matches_fractions(name):
+    # the rows are reduced by gcd from the counts; the reference builds a
+    # Fraction per n from a recount of the members
+    H = 5000
+    view = build_pset(corpus.load_member(name), H)
+    ones = set(elements(view))
+    lines, count = ["n,prefix_density"], 0
+    for n in range(1, H + 1):
+        count += n in ones
+        d = Fraction(count, n)
+        lines.append(f"{n},{d.numerator}/{d.denominator}")
+    report = density_report(view, [1])
+    assert density_prefix_csv(report) == "\n".join(lines) + "\n"
 
 
 def test_density_squares_banach(squares_view):
