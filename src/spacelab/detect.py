@@ -101,13 +101,19 @@ def verify_witness(witness: StructureWitness, view: PSetView) -> bool:
     is a strictly increasing tuple of integers spanning at most the
     horizon is tested whole by :meth:`PSetView.admits`; any other payload
     goes through :func:`member` pair by pair, which raises
-    :class:`ValidationError` on a difference outside [1..H].
+    :class:`ValidationError` on a difference outside [1..H].  IP sums
+    are read from the table when all are integers inside [1..H].
     """
     kind = witness.kind
     if kind == "delta_chain":
         return _differences_in(witness.payload, view)
     if kind == "ip_generator":
-        return all(member(view, s) for s in finite_sums(witness.payload))
+        sums = finite_sums(witness.payload)
+        if (sums and all(isinstance(v, int) for v in witness.payload)
+                and sums[0] >= 1 and sums[-1] <= view.horizon):
+            table = view.table
+            return all(table[s] for s in sums)
+        return all(member(view, s) for s in sums)
     if kind == "ip_ip_generator":
         return _differences_in(tuple(finite_sums(witness.payload)), view)
     if kind == "intersective_hit":

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -258,6 +259,19 @@ def test_verify_generator_edge_cases(payload, ip, ip_ip):
             assert str(err.value) == "membership " + expected
         else:
             assert verify_witness(witness, view) is expected
+
+
+def test_verify_ip_generator_at_the_horizon():
+    # 1..100 has every sum 1..5050 and nothing past it, so the table
+    # answers; one more 1 reaches 5051, which member still refuses
+    view = build_pset(Multiples(k=1), 5050)
+    payload = tuple(range(1, 101))
+    witness = StructureWitness(kind="ip_generator", payload=payload,
+                               verified=False)
+    assert verify_witness(witness, view)
+    with pytest.raises(ValidationError) as err:
+        verify_witness(replace(witness, payload=(*payload, 1)), view)
+    assert str(err.value) == "membership query 5051 outside horizon [1..5050]"
 
 
 def test_syndetic_gap():

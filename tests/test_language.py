@@ -112,6 +112,24 @@ def test_count_budget_boundary_frozen():
     assert count_words(view, 56, budget=63_332) == 24_269_734
 
 
+def test_count_budget_boundary_frozen_bohr():
+    # measured before each state was expanded once: the memo of
+    # bohr_golden_quarter at n = 1000 holds 32,504 entries, and the
+    # expansion order does not move the point where a budget runs out
+    view = build_pset(load_member("bohr_golden_quarter"), 1000)
+    with pytest.raises(BudgetError) as err:
+        count_words(view, 1000, budget=32_503)
+    assert err.value.nodes == 32_504
+    assert count_words(view, 1000, budget=32_504) == 12_988_649_786_243
+
+
+@pytest.mark.parametrize("n,count", [(64, 173_142_751), (68, 420_693_164)])
+def test_count_at_the_wall_frozen(n, count):
+    # co_squares, where exact counting runs out first; computed before
+    # each state of the counter was expanded once
+    assert count_words(build_pset(Complement(of=Squares()), n), n) == count
+
+
 def test_searches_deeper_than_the_stack():
     view = build_pset(Multiples(k=1), 1500)
     assert count_words(view, 1500) == 2 ** 1500

@@ -57,6 +57,41 @@ def test_count_agrees_with_set_semantics(elems, n):
     assert count_words(view, n) == brute_count(elems, n)
 
 
+def independent_set_count(elems, n):
+    """Independent sets of the graph on range(n) that joins two positions
+    whose distance lies outside `elems`: the admissible length-n words.
+
+    Plain recursion on the raw vertex set, cached on that set as it
+    stands, with no translation or reflection keys and no bitmasks.
+    """
+    ps = set(elems)
+    apart = [frozenset(j for j in range(n) if j != i and abs(j - i) not in ps)
+             for i in range(n)]
+    cache = {}
+
+    def count(free):
+        if not free:
+            return 1
+        if free not in cache:
+            v = min(free)
+            rest = free - {v}
+            cache[free] = count(rest) + count(rest - apart[v])
+        return cache[free]
+
+    return count(frozenset(range(n)))
+
+
+@given(elems=st.sets(st.integers(min_value=1, max_value=31)),
+       complement=st.booleans(), n=st.integers(min_value=0, max_value=32))
+@SETTINGS
+def test_count_agrees_with_independent_sets(elems, complement, n):
+    # past naive mode's cap of 24; complements give dense distance graphs
+    if complement:
+        elems = set(range(1, 32)) - elems
+    view = view_of(elems, horizon=32)
+    assert count_words(view, n) == independent_set_count(elems, n)
+
+
 @given(elems=subsets, n=st.integers(min_value=0, max_value=10))
 @SETTINGS
 def test_naive_equals_optimized(elems, n):
