@@ -18,7 +18,7 @@ from itertools import combinations, pairwise
 from typing import Optional, Sequence, Tuple
 
 from .errors import DEFAULT_BUDGET, BudgetError, ValidationError, check_int
-from .psets import Bohr, PSetView, build_pset, member
+from .psets import Bohr, PSetView, _cliques, build_pset, member
 
 _PAYLOAD_KEYS = {
     "delta_chain": "S",
@@ -135,45 +135,27 @@ def find_delta_chain(view: PSetView, depth: int, search_bound: int,
     """Lexicographically least s_1 < ... < s_depth with all differences in P.
 
     Returns None when no chain of this depth fits inside the bound; that
-    is not evidence that no longer chain exists beyond it.  Candidates
-    are explored depth-first in increasing order, so the first complete
-    chain is the lexicographic minimum.
+    is not evidence that no longer chain exists beyond it.  The walk
+    :func:`~spacelab.psets._cliques` meets chains in lexicographic
+    order, so the first complete chain is the least.
 
     The search is rooted at the chain (1).  Differences do not change
     under translation, so any chain s_1 < ... < s_depth <= bound
     translates to 1, s_2 - s_1 + 1, ..., which is smaller and still
-    fits: the least chain starts at 1, or no chain exists.  The root is
-    node 1 and each legal position appended is one more node, as in
+    fits: the least chain starts at 1, or no chain exists.  Each chain
+    walked is one node, the root being node 1, as in
     :func:`~spacelab.language.max_ones`; exhaustion raises
     :class:`BudgetError` with ``nodes == budget + 1``.
     """
     check_int(depth, "delta chains need depth >= 2", 2)
     _check_bound(view, search_bound)
     check_int(budget, "budget must be an integer")
-    if budget < 1:
-        raise BudgetError("delta-chain budget exhausted", 1)
-    nodes = 1
-    chain = [1]
-    # masks[i] holds the untried legal candidates after chain[i]; bit s
-    # stands for position s
-    masks = [((1 << search_bound) - 1) << 1 & view.after(1)]
-    while masks:
-        allowed = masks[-1]
-        if not allowed:
-            masks.pop()
-            chain.pop()
-            continue
-        low = allowed & -allowed
-        s = low.bit_length() - 1
-        masks[-1] = allowed ^ low
-        nodes += 1
+    for nodes, chain in enumerate(_cliques(view, search_bound + 1, (1,)), 1):
         if nodes > budget:
             raise BudgetError("delta-chain budget exhausted", nodes)
-        chain.append(s)
         if len(chain) == depth:
             return _certified(view, kind="delta_chain", payload=tuple(chain),
                               depth=depth, bound=search_bound)
-        masks.append(masks[-1] & view.after(s))
     return None
 
 

@@ -61,7 +61,7 @@ def make_point(view: PSetView, name: str, horizon: int,
     length-N window, zero-padded), ``periodic:K`` (the period-K point,
     which must be admissible), ``random`` (requires `seed`).
     """
-    check_int(horizon, "horizon must be a non-negative integer")
+    check_int(horizon, "horizon must be a non-negative integer", 0)
     if horizon > view.horizon:
         raise ValidationError(
             f"point horizon {horizon} exceeds view horizon {view.horizon}")

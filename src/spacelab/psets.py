@@ -11,7 +11,11 @@ Builders mark members in a byte buffer and convert it to the bitmask in
 one O(H) step, because setting one bit of an H-bit int costs O(H / 64);
 the squares, √H of them, set their bits directly, and finite sums grow
 by one shift-or per generator.  A view tests a whole set of positions
-against P in one place, :meth:`PSetView.admits`.  Densities are exact
+against P in one place, :meth:`PSetView.admits`, and :func:`_cliques`
+walks all such sets in lexicographic order for the delta-chain search
+and the words of the transitivity check.  ``max_ones`` (colour bounds),
+the word counter (a memo), its naive oracle (independent) and
+``scan_point`` (one path) keep their own loops.  Densities are exact
 rationals, built on demand from stored integer prefix counts, and their
 extremes are found by integer cross-multiplication.
 
@@ -479,6 +483,31 @@ class PSetView:
         mask = _mask_from((p - lo + 1 for p in positions), span + 1)
         outside = ~self.bits & ((1 << span) - 1)
         return not any(mask >> (p - lo + 1) & outside for p in positions)
+
+
+def _cliques(view: PSetView, n: int, root: Sequence[int] = ()):
+    """Every subset of {0..n-1} with all differences in P that extends
+    the admissible, increasing `root` by larger positions, in
+    lexicographic (depth-first pre-)order, `root` first.  One list is
+    yielded, grown and shrunk in place: callers copy what they keep.
+    """
+    clique = list(root)
+    allowed = (1 << n) - 1
+    for p in root:
+        allowed &= view.after(p)
+    # masks[i] holds the untried candidates extending clique[:len(root) + i]
+    masks = [allowed]
+    yield clique
+    while masks:
+        allowed = masks.pop()
+        if allowed:
+            low = allowed & -allowed
+            p = low.bit_length() - 1
+            masks += allowed ^ low, allowed & view.after(p)
+            clique.append(p)
+            yield clique
+        elif masks:
+            clique.pop()
 
 
 def build_pset(spec: PSetSpec, horizon: int) -> PSetView:

@@ -57,6 +57,15 @@ def test_make_point_names(co3_view, m2_view):
         make_point(co3_view, "random", 16)
 
 
+@pytest.mark.parametrize("name", ["zero", "greedy", "maxones:2",
+                                  "periodic:2", "random:3"])
+def test_make_point_rejects_negative_horizon(name):
+    view = build_pset(Multiples(k=2), 20)
+    with pytest.raises(ValidationError,
+                       match="^horizon must be a non-negative integer$"):
+        make_point(view, name, -1)
+
+
 def test_random_point_deterministic(co3_view):
     a = random_point(co3_view, 64, seed=7)
     b = random_point(co3_view, 64, seed=7)

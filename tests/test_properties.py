@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from spacelab import (
     BudgetError,
     Configuration,
+    ValidationError,
     build_pset,
     count_words,
     density_report,
@@ -29,13 +30,15 @@ from spacelab import (
     proximal_probe,
     syndetic_gap,
     thick_run,
+    transitive_gap_check,
     verify_witness,
 )
 from spacelab.cli import main
 from spacelab.detect import StructureWitness
 from spacelab.dynamics import OrbitPoint, random_point
 from spacelab.psets import (Bohr, Complement, DeltaOf, DiffSet, Explicit,
-                            FiniteSums, Intersect, Multiples, Squares, Union)
+                            FiniteSums, Intersect, Multiples, Squares, Union,
+                            _cliques)
 from conftest import brute_count, brute_f, brute_max_ones
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -569,6 +572,64 @@ def test_clique_searches_match_brute_force(case, data):
     assert count_words(view, n) == brute_count(ps, n)
     omega, config = max_ones(view, n)
     assert (omega, config.ones) == brute_max_ones(ps, n)
+
+
+def brute_cliques(ps, n):
+    """Every position set in [0..n) with all differences in ps, sorted."""
+    return sorted(c for r in range(n + 1)
+                  for c in itertools.combinations(range(n), r)
+                  if ref_admissible(ps, c))
+
+
+@given(case=small_sets(), data=st.data())
+@SETTINGS
+def test_clique_walk_matches_brute_force(case, data):
+    view, ps = case
+    n = data.draw(st.integers(min_value=0, max_value=min(10, view.horizon)))
+    expected = brute_cliques(ps, n)
+    assert [tuple(c) for c in _cliques(view, n)] == expected
+    root = data.draw(st.sampled_from(expected))
+    assert [tuple(c) for c in _cliques(view, n, root)] == [
+        c for c in expected if c[:len(root)] == root]
+
+
+def ones_of(word):
+    return tuple(i for i, c in enumerate(word) if c == "1")
+
+
+def ref_join_gap(ps, u, v, gap_cap):
+    """Least gap g with every cross difference of u 0^g v in ps, tried
+    one g at a time."""
+    for g in range(gap_cap + 1):
+        if all(len(u) + g + j - i in ps
+               for i in ones_of(u) for j in ones_of(v)):
+            return g
+    return None
+
+
+@given(case=small_sets(), data=st.data())
+@SETTINGS
+def test_transitive_gap_check_matches_reference(case, data):
+    view, ps = case
+    word_len_cap = data.draw(st.integers(min_value=1, max_value=4))
+    if 2 * word_len_cap > view.horizon:
+        with pytest.raises(ValidationError):
+            transitive_gap_check(view, word_len_cap, 0)
+        return
+    gap_cap = data.draw(st.integers(
+        min_value=0, max_value=view.horizon - 2 * word_len_cap))
+    # every admissible 0/1 word of length 1..word_len_cap, in
+    # (length, ones) order
+    words = sorted((w for n in range(1, word_len_cap + 1)
+                    for w in map("".join, itertools.product("01", repeat=n))
+                    if ref_admissible(ps, ones_of(w))),
+                   key=lambda w: (len(w), ones_of(w)))
+    pairs = [(u, v) for u in words for v in words]
+    failing = [p for p in pairs if ref_join_gap(ps, *p, gap_cap) is None]
+    report = transitive_gap_check(view, word_len_cap, gap_cap)
+    assert report.total_pairs == len(pairs)
+    assert report.joinable_pairs == len(pairs) - len(failing)
+    assert report.least_failing == (failing[0] if failing else None)
 
 
 @given(case=small_sets(), data=st.data())
