@@ -13,11 +13,11 @@ Searches carry an explicit node budget; running out raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import combinations, pairwise
 from typing import Optional, Sequence, Tuple
 
-from .errors import DEFAULT_BUDGET, BudgetError, ValidationError, check_int
+from .errors import (DEFAULT_BUDGET, BudgetError, Record, ValidationError,
+                     check_int, replace)
 from .psets import Bohr, PSetView, _cliques, build_pset, member
 
 _PAYLOAD_KEYS = {
@@ -28,8 +28,7 @@ _PAYLOAD_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class StructureWitness:
+class StructureWitness(Record):
     """A concrete finite certificate, checkable by direct arithmetic.
 
     ``payload`` is a strictly increasing tuple for chain/generator kinds
@@ -254,8 +253,7 @@ def find_ip_ip_generator(view: PSetView, depth: int, search_bound: int,
                            "ip_ip_generator")
 
 
-@dataclass(frozen=True)
-class SyndeticGapReport:
+class SyndeticGapReport(Record):
     """Lengths of the gaps of A inside [1..H].
 
     ``interior_gap`` is the largest maximal run of consecutive
@@ -322,8 +320,7 @@ def intersective_refute(e_view: PSetView,
     return replace(witness, verified=witness.verified and in_a)
 
 
-@dataclass(frozen=True)
-class BohrAvoidanceReport:
+class BohrAvoidanceReport(Record):
     """Finite-horizon comparison of P against one candidate Bohr set.
 
     ``contained`` says whether every Bohr member up to the horizon lies

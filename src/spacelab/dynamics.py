@@ -13,18 +13,16 @@ as O(log l) doubling shifts, so all are exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DEFAULT_BUDGET, ValidationError, check_int
+from .errors import DEFAULT_BUDGET, Record, ValidationError, check_int
 from .language import (Configuration, greedy_point, is_admissible, max_ones,
                        scan_point)
 from .psets import PSetView
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
+class OrbitPoint(Record):
     """A truncated point of the shift space, tagged with how it was built."""
 
     config: Configuration
@@ -116,14 +114,13 @@ def cylinder_distance_exponent(x: Configuration,
     """
     if x.length != y.length:
         raise ValidationError("words must have equal lengths")
-    diff = x.ones_mask() ^ y.ones_mask()
+    diff = x.ones_mask ^ y.ones_mask
     if not diff:
         return None
     return (diff & -diff).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class FStatReport:
+class FStatReport(Record):
     """Agreement frequencies F_n at closeness threshold t = 2^-l.
 
     ``values`` holds exact fractions with denominator n; ``tail_min`` is
@@ -153,7 +150,7 @@ def f_statistic(x: OrbitPoint, y: OrbitPoint, l: int,
     grid = sorted(set(grid))
     if grid[-1] + l > x.config.length:
         raise ValidationError("n_grid plus block length exceeds the horizon")
-    diff = x.config.ones_mask() ^ y.config.ones_mask()
+    diff = x.config.ones_mask ^ y.config.ones_mask
     # bit m of apart is set iff x and y disagree somewhere in [m, m+l];
     # each OR doubles the window, the last one only up to width l + 1
     apart, width = diff, 1
@@ -179,13 +176,12 @@ def proximal_probe(x: OrbitPoint, y: OrbitPoint, block: int) -> Optional[int]:
     horizon = x.config.length
     check_int(block, f"block must lie in [1..{horizon}]", 1, horizon)
     # digit m is "1" iff x and y disagree at position m
-    diff = x.config.ones_mask() ^ y.config.ones_mask()
+    diff = x.config.ones_mask ^ y.config.ones_mask
     m = format(diff, f"0{horizon}b")[::-1].find("0" * block)
     return m if m >= 0 else None
 
 
-@dataclass(frozen=True)
-class PeriodicCheckResult:
+class PeriodicCheckResult(Record):
     """Outcome of the period-k membership test.
 
     Exactly one of ``point`` and ``failing_multiple`` is set: the

@@ -22,7 +22,6 @@ its verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -30,7 +29,7 @@ from . import corpus
 from .detect import (check_bohr_avoidance, find_delta_chain,
                      find_ip_ip_generator)
 from .dynamics import named_points, periodic_point_check, proximal_probe
-from .errors import DEFAULT_BUDGET, BudgetError, ValidationError
+from .errors import DEFAULT_BUDGET, BudgetError, Record, ValidationError
 from .language import (Configuration, entropy_profile, greedy_point,
                        is_admissible, max_ones, scan_point,
                        transitive_gap_check)
@@ -39,8 +38,7 @@ from .psets import (Complement, DiffSet, Explicit, Multiples, PSetView,
 from .reports import float17, frac_str
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
+class ExperimentReport(Record):
     """Machine-readable outcome of one experiment run."""
 
     experiment: str

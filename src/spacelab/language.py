@@ -21,18 +21,18 @@ neighbours from one shared table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
-from .errors import DEFAULT_BUDGET, BudgetError, ValidationError, check_int
+from .errors import (DEFAULT_BUDGET, BudgetError, Record, ValidationError,
+                     check_int)
 from .psets import PSetView, _cliques, _mask_from
 
 NAIVE_MAX_N = 24
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Record):
     """A finite 0/1 word given by its length and sorted 1-positions."""
 
     length: int
@@ -50,7 +50,10 @@ class Configuration:
         if self.ones and self.ones[-1] >= self.length:
             raise ValidationError("ones must lie inside [0, length)")
 
+    @cached_property
     def ones_mask(self) -> int:
+        """Bit p is set iff p is a 1-position; built on first read and
+        cached, outside the fields that equality and hash compare."""
         return _mask_from((p + 1 for p in self.ones), self.length)
 
     def word(self) -> str:
@@ -317,8 +320,7 @@ def max_ones(view: PSetView, n: int,
     return best_size, Configuration(n, best_ones)
 
 
-@dataclass(frozen=True)
-class ProfileRow:
+class ProfileRow(Record):
     n: int
     count: int
     entropy: float
@@ -326,8 +328,7 @@ class ProfileRow:
     omega_over_n: Fraction
 
 
-@dataclass(frozen=True)
-class LanguageProfile:
+class LanguageProfile(Record):
     """Per-length word counts, entropy estimates, and max-ones records.
 
     ``entropy`` is log2(c(n)) / n computed in double precision from the
@@ -431,8 +432,7 @@ def _admissible_words_up_to(view: PSetView, max_len: int) -> list:
             for ones in _cliques(view, length)]
 
 
-@dataclass(frozen=True)
-class TransitiveGapReport:
+class TransitiveGapReport(Record):
     """Joinability of admissible word pairs by zero-gaps.
 
     A failing pair is evidence against transitivity via zero-filled

@@ -9,8 +9,8 @@ materialize over a horizon [1..H] as an integer bitmask (bit n-1 set iff
 n is a member), with a byte table alongside for constant-time lookups.
 Builders mark members in a byte buffer and convert it to the bitmask in
 one O(H) step, because setting one bit of an H-bit int costs O(H / 64);
-the squares, √H of them, set their bits directly, and finite sums grow
-by one shift-or per generator.  A view tests a whole set of positions
+the squares, √H of them, set their bits in a packed buffer of H / 8
+bytes, and finite sums grow by one shift-or per generator.  A view tests a whole set of positions
 against P in one place, :meth:`PSetView.admits`, and :func:`_cliques`
 walks all such sets in lexicographic order for the delta-chain search
 and the words of the transitivity check.  ``max_ones`` (colour bounds),
@@ -28,14 +28,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations, compress, islice
+from math import isqrt
 from operator import sub
 from typing import Optional, Sequence
 
-from .errors import SpecError, ValidationError, check_int
+from .errors import Record, SpecError, ValidationError, check_int
 
 
 def _child(path: str, key: object) -> str:
@@ -83,11 +84,12 @@ def _mask_from(values, horizon: int) -> int:
     return _mask_from_flags(flags)
 
 
-class PSetSpec:
+class PSetSpec(Record):
     """Abstract base of all set descriptions.
 
-    Concrete subclasses are frozen dataclasses that declare their wire
-    format once, in ``_wire`` (JSON key -> field, in JSON order), for
+    Concrete subclasses are frozen records (see
+    :class:`~spacelab.errors.Record`) that declare their wire format
+    once, in ``_wire`` (JSON key -> field, in JSON order), for
     construction, :meth:`to_json` and :func:`parse_spec` to read.  Two
     descriptions compare equal iff their JSON forms do, and :meth:`digest`
     is a stable content hash of that JSON.
@@ -142,7 +144,6 @@ class _IncreasingList(PSetSpec):
         _check_increasing(self._values, _child(path, key), self._min_len)
 
 
-@dataclass(frozen=True)
 class Explicit(_IncreasingList):
     """A finite set given by its sorted element list (may be empty)."""
 
@@ -156,7 +157,6 @@ class Explicit(_IncreasingList):
         return _mask_from(self.elems, horizon)
 
 
-@dataclass(frozen=True)
 class Multiples(PSetSpec):
     """kN = {k, 2k, 3k, ...}; Multiples(1) is all of N."""
 
@@ -177,22 +177,21 @@ class Multiples(PSetSpec):
         return _mask_from_flags(flags)
 
 
-@dataclass(frozen=True)
 class Squares(PSetSpec):
     """The perfect squares {1, 4, 9, ...}."""
 
     kind = "squares"
 
     def _bits(self, horizon: int) -> int:
-        mask = 0
-        r = 1
-        while r * r <= horizon:
-            mask |= 1 << (r * r - 1)
-            r += 1
-        return mask
+        # bit n - 1 of the little-endian buffer marks the square n; the
+        # squares are too few to pay for a byte per position
+        packed = bytearray((horizon + 7) // 8)
+        for r in range(1, isqrt(horizon) + 1):
+            n = r * r - 1
+            packed[n >> 3] |= 1 << (n & 7)
+        return int.from_bytes(packed, "little")
 
 
-@dataclass(frozen=True)
 class FiniteSums(_IncreasingList):
     """All nonempty subset sums of a finite generator list.
 
@@ -224,7 +223,6 @@ class _Differences(_IncreasingList):
                           horizon)
 
 
-@dataclass(frozen=True)
 class DeltaOf(_Differences):
     """All pairwise differences of a strictly increasing sequence."""
 
@@ -234,7 +232,6 @@ class DeltaOf(_Differences):
     _wire = {"seq": "seq"}
 
 
-@dataclass(frozen=True)
 class DiffSet(_Differences):
     """{a - a' : a, a' in base, a > a'} for a finite base set."""
 
@@ -244,7 +241,6 @@ class DiffSet(_Differences):
     _wire = {"set": "base"}
 
 
-@dataclass(frozen=True)
 class Bohr(PSetSpec):
     """{n : frac(n * alpha) in (lo, hi)}, decided exactly.
 
@@ -301,7 +297,6 @@ class Bohr(PSetSpec):
         return _mask_from_flags(flags)
 
 
-@dataclass(frozen=True)
 class Complement(PSetSpec):
     """N minus another described set, truncated to the horizon."""
 
@@ -318,7 +313,6 @@ class Complement(PSetSpec):
         return full ^ self.of._bits(horizon)
 
 
-@dataclass(frozen=True)
 class _Combination(PSetSpec):
     """Shared fields and rules of a boolean combination of parts."""
 
@@ -333,7 +327,6 @@ class _Combination(PSetSpec):
             part.validate(_child(_child(path, "of"), i))
 
 
-@dataclass(frozen=True)
 class Union(_Combination):
     kind = "union"
 
@@ -344,7 +337,6 @@ class Union(_Combination):
         return mask
 
 
-@dataclass(frozen=True)
 class Intersect(_Combination):
     kind = "intersect"
 
@@ -431,8 +423,7 @@ def _parse_node(obj: object, path: str, level: int) -> PSetSpec:
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
-@dataclass(frozen=True)
-class PSetView:
+class PSetView(Record):
     """Materialized membership of a described set over [1..horizon].
 
     ``bits`` has bit n-1 set iff n is a member.  Views are immutable and
@@ -518,9 +509,13 @@ def build_pset(spec: PSetSpec, horizon: int) -> PSetView:
     SpecError
         If the description is invalid; the message names the node.
     ValidationError
-        If the horizon is not a positive integer.
+        If the horizon is not a positive integer, or exceeds
+        ``sys.maxsize``, the largest length of the buffers a view is
+        built in.
     """
     check_int(horizon, "horizon must be a positive integer", 1)
+    if horizon > sys.maxsize:
+        raise ValidationError(f"horizon must be at most {sys.maxsize}")
     spec.validate()
     bits = spec._bits(horizon) & ((1 << horizon) - 1)
     return PSetView(horizon=horizon, bits=bits, spec_digest=spec.digest())
@@ -542,8 +537,7 @@ def elements(view: PSetView) -> list:
     return list(compress(range(view.horizon + 1), view.table))
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Record):
     """Exact finite-horizon density profile of a set.
 
     ``prefix_counts`` holds |A intersect [1..n]| for every n up to the

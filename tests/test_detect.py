@@ -1,5 +1,4 @@
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -19,6 +18,7 @@ from spacelab import (
     witness_from_json,
 )
 from spacelab.detect import StructureWitness
+from spacelab.errors import replace
 from spacelab.psets import (
     Complement,
     DiffSet,

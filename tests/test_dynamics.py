@@ -231,7 +231,7 @@ def test_f_statistic_matches_linear_or():
                   for w in (x, y))
         l = rng.randint(0, horizon - 1)
         grid = range(1, horizon - l + 1)
-        apart = _linear_apart(px.config.ones_mask() ^ py.config.ones_mask(), l)
+        apart = _linear_apart(px.config.ones_mask ^ py.config.ones_mask, l)
         assert f_statistic(px, py, l, grid).values == tuple(
             (n, Fraction(n - (apart & ((1 << n) - 1)).bit_count(), n))
             for n in grid)

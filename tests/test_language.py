@@ -33,7 +33,7 @@ def test_configuration_round_trip():
     c = Configuration(length=6, ones=(0, 2, 5))
     assert c.word() == "101001"
     assert Configuration.from_word("101001") == c
-    assert c.ones_mask() == 0b100101
+    assert c.ones_mask == 0b100101
     assert c.padded(9).word() == "101001000"
 
 
