@@ -120,6 +120,51 @@ def test_huge_horizon_under_memory_limit_exits_3():
     assert json.loads(proc.stderr)["error"]["type"] == "memory"
 
 
+# one spec of every kind other than the squares
+NOT_SQUARES = [
+    '{"type":"explicit","elems":[1,4]}', M2, '{"type":"fs","gens":[1,2]}',
+    '{"type":"delta","seq":[1,3,7]}', '{"type":"diffset","set":[2,5]}',
+    '{"type":"bohr","alpha":0.5,"interval":[0.1,0.2]}', CO3,
+    '{"type":"union","of":[%s,%s]}' % (M2, CO3),
+    '{"type":"intersect","of":[%s,%s]}' % (M2, CO3),
+]
+HUGE = str(10 ** 20)
+TOO_LONG = {"message": f"horizon must be at most {sys.maxsize}",
+            "type": "validation"}
+
+
+@pytest.mark.parametrize("spec", NOT_SQUARES)
+def test_horizon_past_maxsize_exits_2(capsys, spec):
+    code, out, err = run_cli(capsys, "lang", "count", "--spec", spec,
+                             "--n", "4", "--horizon", HUGE)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == TOO_LONG
+
+
+@pytest.mark.parametrize("argv", [
+    ["lang", "count", "--spec", M2, "--n", HUGE],
+    ["pset", "density", "--spec", M2, "--horizon", HUGE,
+     "--window-grid", "4"],
+    ["detect", "delta", "--spec", M2, "--depth", "2", "--bound", HUGE],
+])
+def test_default_or_given_horizon_past_maxsize_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == TOO_LONG
+
+
+@pytest.mark.parametrize("size", [["--n", "4", "--horizon", HUGE],
+                                  ["--n", HUGE]])
+def test_squares_horizon_past_maxsize_exits_2(size):
+    # squares would first loop over the 10^10 roots below the horizon;
+    # a child process with a timeout turns that hang into a failure
+    proc = subprocess.run(
+        [sys.executable, "-m", "spacelab.cli", "lang", "count", "--spec",
+         SQUARES, *size], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert json.loads(proc.stderr)["error"] == TOO_LONG
+
+
 def test_env_budget(capsys, monkeypatch):
     monkeypatch.setenv("SPACELAB_BUDGET", "900")
     code, _, err = run_cli(capsys, "detect", "delta", "--spec", ODDS,

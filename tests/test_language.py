@@ -25,6 +25,7 @@ from spacelab.psets import (
     Multiples,
     Squares,
     Union,
+    _mask_from,
 )
 from conftest import brute_count, brute_max_ones
 
@@ -35,6 +36,18 @@ def test_configuration_round_trip():
     assert Configuration.from_word("101001") == c
     assert c.ones_mask == 0b100101
     assert c.padded(9).word() == "101001000"
+
+
+@pytest.mark.parametrize("length, ones", [(0, ()), (1, (0,)), (6, (0, 2, 5)),
+                                          (70, (1, 64, 69))])
+def test_ones_mask_is_cached_outside_the_fields(length, ones):
+    config, twin = Configuration(length, ones), Configuration(length, ones)
+    before = hash(config)
+    assert config.ones_mask == _mask_from((p + 1 for p in ones), length)
+    assert config.ones_mask is config.ones_mask
+    assert hash(config) == before == hash(twin)
+    assert config == twin and twin == config
+    assert repr(config) == repr(twin)
 
 
 def test_configuration_validation():

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -57,6 +59,16 @@ def test_multiples_and_complement():
 def test_squares():
     view = build_pset(Squares(), 30)
     assert elements(view) == [1, 4, 9, 16, 25]
+
+
+@pytest.mark.parametrize("horizon", [1, 3, 4, 7, 8, 9, 15, 16, 17, 63, 64,
+                                     65, 1000, 4096])
+def test_squares_at_byte_edges(horizon):
+    # the squares are packed 8 to a byte; the last byte may be partial
+    view = build_pset(Squares(), horizon)
+    squares = [r * r for r in range(1, horizon + 1) if r * r <= horizon]
+    assert elements(view) == squares
+    assert view.bits < 1 << horizon
 
 
 def test_finite_sums_set():
@@ -133,6 +145,32 @@ KIND_EXAMPLES = [
     (Intersect([Multiples(2), Multiples(3)]),
      "ee0907dbb1efda5c86a3c36bd10b7036e6b577d81548f2f35186fa1720c5f100"),
 ]
+
+
+TOO_LONG = f"horizon must be at most {sys.maxsize}"
+
+
+@pytest.mark.parametrize("spec", [spec for spec, _ in KIND_EXAMPLES
+                                  if spec != Squares()],
+                         ids=lambda spec: spec.kind)
+@pytest.mark.parametrize("horizon", [sys.maxsize + 1, 10 ** 20])
+def test_horizon_past_maxsize_rejected(spec, horizon):
+    # rejected before the kind builds anything: buffers of more than
+    # sys.maxsize bytes, or shifts by more than sys.maxsize bits, fail
+    with pytest.raises(ValidationError) as err:
+        build_pset(spec, horizon)
+    assert str(err.value) == TOO_LONG
+
+
+def test_squares_horizon_past_maxsize_rejected():
+    # squares would first loop over the 10^10 roots below the horizon;
+    # a child process with a timeout turns that hang into a failure
+    code = ("from spacelab import Squares, ValidationError, build_pset\n"
+            "try:\n    build_pset(Squares(), 10 ** 20)\n"
+            "except ValidationError as err:\n    print(err)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, TOO_LONG + "\n")
 
 
 def _readme_spec_objects() -> list:

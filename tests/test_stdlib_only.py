@@ -1,4 +1,5 @@
-"""The runtime package imports nothing outside the standard library."""
+"""The runtime package imports nothing outside the standard library, and
+not ``dataclasses``."""
 
 import ast
 import pathlib
@@ -24,3 +25,11 @@ def test_imports_are_stdlib_only():
     outside = {path.name: sorted(_absolute_imports(path) - allowed)
                for path in paths}
     assert {name: mods for name, mods in outside.items() if mods} == {}
+
+
+def test_no_dataclasses_import():
+    # dataclasses loads inspect, ast, dis and tokenize, about 14 ms of
+    # every command line call; the records derive from errors.Record
+    importing = [path.name for path in sorted(SRC.glob("*.py"))
+                 if "dataclasses" in _absolute_imports(path)]
+    assert importing == []
