@@ -91,10 +91,10 @@ class Record:
     values live in the instance ``__dict__``, in field order, where
     ``functools.cached_property`` caches too.
 
-    This keeps what ``@dataclass(frozen=True)`` gave the package without
-    importing ``dataclasses`` (about 14 ms of every command line call,
-    for ``inspect`` and ``ast``) or compiling methods for each class
-    (about 1 ms a class).
+    This is what ``@dataclass(frozen=True)`` gave the package, without
+    the two costs every command line call paid for it at start-up:
+    importing ``dataclasses``, which loads ``inspect`` and ``ast``, and
+    compiling generated methods for each class.
     """
 
     _fields = ()

@@ -10,10 +10,11 @@ n is a member), with a byte table alongside for constant-time lookups.
 Builders mark members in a byte buffer and convert it to the bitmask in
 one O(H) step, because setting one bit of an H-bit int costs O(H / 64);
 the squares, √H of them, set their bits in a packed buffer of H / 8
-bytes, and finite sums grow by one shift-or per generator.  A view tests a whole set of positions
-against P in one place, :meth:`PSetView.admits`, and :func:`_cliques`
-walks all such sets in lexicographic order for the delta-chain search
-and the words of the transitivity check.  ``max_ones`` (colour bounds),
+bytes, and finite sums grow by one shift-or per generator.  A view
+tests a whole set of positions against P in one place,
+:meth:`PSetView.admits`, and :func:`_cliques` walks all such sets in
+lexicographic order for the delta-chain search and the words of the
+transitivity check.  ``max_ones`` (colour bounds),
 the word counter (a memo), its naive oracle (independent) and
 ``scan_point`` (one path) keep their own loops.  Densities are exact
 rationals, built on demand from stored integer prefix counts, and their

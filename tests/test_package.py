@@ -115,5 +115,5 @@ def test_command_runs_only_the_layers_it_calls(argv, needed, unneeded):
     ran = set(got["ran"])
     assert needed <= ran
     assert not ran & unneeded, sorted(ran & unneeded)
-    # dataclasses would cost every call about 14 ms at start-up
+    # dataclasses (with inspect and ast) would slow every call's start
     assert "dataclasses" not in got["loaded"]

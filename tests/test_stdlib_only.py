@@ -28,7 +28,7 @@ def test_imports_are_stdlib_only():
 
 
 def test_no_dataclasses_import():
-    # dataclasses loads inspect, ast, dis and tokenize, about 14 ms of
+    # dataclasses loads inspect, ast, dis and tokenize at the start of
     # every command line call; the records derive from errors.Record
     importing = [path.name for path in sorted(SRC.glob("*.py"))
                  if "dataclasses" in _absolute_imports(path)]
