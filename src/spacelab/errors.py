@@ -118,9 +118,13 @@ class Record:
                 attrgetter(*fields) if fields else lambda record: ())
 
     def __init__(self, *args, **kwargs) -> None:
-        if kwargs or len(args) != len(self._fields):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
             args = self._bind(args, kwargs)
-        self.__dict__.update(zip(self._fields, args))
+        # set one by one, the values stay inline in the instance: reading
+        # an attribute through a materialized __dict__ is about 3x slower
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
         self.__post_init__()
 
     @classmethod
