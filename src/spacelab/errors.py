@@ -121,8 +121,9 @@ class Record:
         fields = self._fields
         if kwargs or len(args) != len(fields):
             args = self._bind(args, kwargs)
-        # set one by one, the values stay inline in the instance: reading
-        # an attribute through a materialized __dict__ is about 3x slower
+        # set one at a time, the values stay inline in the instance, where
+        # reads are fastest; updating self.__dict__ would materialize it
+        # and slow every later attribute read
         for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
         self.__post_init__()
