@@ -22,8 +22,7 @@ from typing import Optional
 
 from . import corpus as corpus_mod
 from . import detect, dynamics, experiments, language, reports
-from .errors import (DEFAULT_BUDGET, BudgetError, SpacelabError, SpecError,
-                     ValidationError)
+from .errors import DEFAULT_BUDGET, BudgetError, SpecError, ValidationError
 from .psets import PSetSpec, build_pset, density_report, parse_spec
 
 ENV_BUDGET = "SPACELAB_BUDGET"
@@ -235,8 +234,13 @@ def _cmd_lang_transitive(args, view) -> tuple:
 
 
 def _points(args, view) -> tuple:
+    # --seed N names the point random:N, here once, so that the points
+    # and the manifest's "x" and "y" read the same name
+    if args.seed is not None:
+        args.x, args.y = (f"random:{args.seed}" if name == "random" else name
+                          for name in (args.x, args.y))
     return tuple(dynamics.make_point(view, name, view.horizon,
-                                     seed=args.seed, budget=args.budget)
+                                     budget=args.budget)
                  for name in (args.x, args.y))
 
 
@@ -496,9 +500,6 @@ def main(argv=None) -> int:
         return 2
     except ValidationError as err:
         _print_error("validation", str(err))
-        return 2
-    except SpacelabError as err:
-        _print_error("error", str(err))
         return 2
     print(text, end="" if text.endswith("\n") else "\n")
     if args.out:

@@ -43,21 +43,21 @@ def zero_point(view: PSetView, horizon: int) -> OrbitPoint:
 
 def random_point(view: PSetView, horizon: int, seed: int) -> OrbitPoint:
     """Seeded admissible point: greedy scan that keeps each legal
-    position with probability 1/2.  Built for the point names ``random``
-    and ``random:N``, as in ``dyn fstat`` and ``dyn proximal``."""
+    position with probability 1/2.  Built for the point name
+    ``random:N``, with N the seed, and labelled with it."""
     rng = random.Random(seed)
     ones = scan_point(view, horizon, keep=lambda: rng.random() < 0.5)
     return _wrap(view, Configuration(horizon, ones), f"random:{seed}")
 
 
 def make_point(view: PSetView, name: str, horizon: int,
-               seed: Optional[int] = None,
                budget: int = DEFAULT_BUDGET) -> OrbitPoint:
     """Build a named generator point.
 
     Names: ``zero``, ``greedy``, ``maxones:N`` (max-ones witness on a
     length-N window, zero-padded), ``periodic:K`` (the period-K point,
-    which must be admissible), ``random`` (requires `seed`).
+    which must be admissible), ``random:N`` (the random point with seed
+    N).  A bare ``random`` names no seed and is rejected.
     """
     check_int(horizon, "horizon must be a non-negative integer", 0)
     if horizon > view.horizon:
@@ -84,9 +84,7 @@ def make_point(view: PSetView, name: str, horizon: int,
         return random_point(view, horizon,
                             _parse_int(name.split(":", 1)[1], "seed"))
     if name == "random":
-        if seed is None:
-            raise ValidationError("random point generator needs a seed")
-        return random_point(view, horizon, seed)
+        raise ValidationError("random point generator needs a seed")
     raise ValidationError(f"unknown point generator {name!r}")
 
 

@@ -87,7 +87,7 @@ def is_admissible(config: Configuration, view: PSetView) -> bool:
 
 
 def _count_naive(view: PSetView, n: int) -> int:
-    allowed_diffs = {d for d in range(1, n) if view.table[d]}
+    table = view.table
     total = 0
     for mask in range(1 << n):
         ones = []
@@ -97,7 +97,7 @@ def _count_naive(view: PSetView, n: int) -> int:
             low = rest & -rest
             pos = low.bit_length() - 1
             for prev in ones:
-                if pos - prev not in allowed_diffs:
+                if not table[pos - prev]:
                     ok = False
                     break
             if not ok:

@@ -33,7 +33,7 @@ import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations, compress, islice
-from math import isqrt
+from math import ceil, floor, isqrt
 from operator import sub
 from typing import Optional, Sequence
 
@@ -282,10 +282,10 @@ class Bohr(PSetSpec):
         alpha, lo, hi = (Fraction(repr(float(x)))
                          for x in (self.alpha, *self.interval))
         p, q = alpha.numerator, alpha.denominator
-        # frac(n * alpha) = r / q with r = n * p mod q; lo < r / q < hi
-        # is decided by cross-multiplying
-        lo_num, lo_den = lo.numerator * q, lo.denominator
-        hi_num, hi_den = hi.numerator * q, hi.denominator
+        # frac(n * alpha) = r / q with r = n * p mod q; r is an integer,
+        # so lo < r / q < hi iff floor(lo * q) < r < ceil(hi * q), and the
+        # two integer bounds are computed once from the exact Fractions
+        low, high = floor(lo * q), ceil(hi * q)
         flags = bytearray(horizon)
         r = 0
         for i in range(horizon):
@@ -293,7 +293,7 @@ class Bohr(PSetSpec):
             r += p
             if r >= q:
                 r -= q
-            if lo_num < r * lo_den and r * hi_den < hi_num:
+            if low < r < high:
                 flags[i] = 1
         return _mask_from_flags(flags)
 
@@ -371,25 +371,23 @@ _KINDS = {cls.kind: cls for cls in (
 MAX_SPEC_DEPTH = 100
 
 
-def parse_spec(obj: object, path: str = "") -> PSetSpec:
+def parse_spec(obj: object) -> PSetSpec:
     """Parse the tagged JSON wire format into a description tree.
 
     Parameters
     ----------
     obj : object
         Decoded JSON value; must be an object with a ``"type"`` tag.
-    path : str
-        Position of `obj` inside an enclosing tree, for error messages.
 
     Returns
     -------
     PSetSpec
         The parsed and validated tree.  Structural problems raise
-        :class:`SpecError` naming the offending node; an unknown tag is a
-        hard error, and so is nesting deeper than ``MAX_SPEC_DEPTH``
-        levels.
+        :class:`SpecError` naming the offending node by its path from
+        `obj` (the root's path is empty); an unknown tag is a hard error,
+        and so is nesting deeper than ``MAX_SPEC_DEPTH`` levels.
     """
-    return _parse_node(obj, path, 1)
+    return _parse_node(obj, "", 1)
 
 
 def _parse_node(obj: object, path: str, level: int) -> PSetSpec:

@@ -14,7 +14,7 @@ import json
 import os
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 
@@ -88,16 +88,14 @@ def density_banach_csv(report: DensityReport) -> str:
     return csv_text(("W", "banach_density"), rows)
 
 
-def build_manifest(parameters: dict, spec_digests: dict,
-                   timestamp: Optional[str] = None) -> dict:
-    """Run manifest; everything except ``timestamp`` is deterministic."""
-    if timestamp is None:
-        timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+def build_manifest(parameters: dict, spec_digests: dict) -> dict:
+    """Run manifest; everything except ``timestamp``, the time of this
+    call in UTC, is deterministic."""
     return {
         "tool": {"name": "spacelab", "version": __version__},
         "parameters": parameters,
         "spec_digests": spec_digests,
-        "timestamp": timestamp,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
 
 

@@ -182,6 +182,19 @@ def test_flag_overrides_env(capsys, monkeypatch):
     assert json.loads(err)["error"]["nodes"] == 501
 
 
+@pytest.mark.parametrize("value, message", [
+    ("abc", "SPACELAB_BUDGET must be an integer, got 'abc'"),
+    ("0", "SPACELAB_BUDGET must be positive"),
+])
+def test_env_budget_rejected(capsys, monkeypatch, value, message):
+    monkeypatch.setenv("SPACELAB_BUDGET", value)
+    code, out, err = run_cli(capsys, "lang", "count", "--spec", M2,
+                             "--n", "3")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"message": message,
+                                        "type": "validation"}
+
+
 def test_validation_exit_code(capsys):
     code, out, err = run_cli(capsys, "lang", "count", "--spec",
                              "missing-file.json", "--n", "3")
@@ -280,10 +293,46 @@ def test_zero_horizon_rejected(capsys, argv):
       "--gap-cap", "0"], "word_len_cap must be >= 1"),
     (["detect", "delta", "--spec", SQUARES, "--depth", "2", "--bound", "0"],
      "search bound must be a positive integer"),
+    # the default horizon is read from the grid, which is checked first
+    (["lang", "entropy", "--spec", M2, "--n-grid", "4,x"],
+     "--n-grid must be comma-separated integers"),
+    (["lang", "entropy", "--spec", M2, "--n-grid", ","],
+     "--n-grid must be nonempty"),
 ])
 def test_default_horizon_leaves_the_real_fault(capsys, argv, message):
     # without --horizon the default horizon is at least 1, so the error
     # names the option that is wrong rather than the horizon
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"message": message,
+                                        "type": "validation"}
+
+
+def test_inline_spec_not_json(capsys):
+    code, out, err = run_cli(capsys, "lang", "count", "--spec", "{nope",
+                             "--n", "3")
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert (error["type"], error["path"]) == ("spec", "")
+    assert error["message"].startswith("inline spec is not valid JSON: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pset", "density", "--spec", M2, "--horizon", "8",
+      "--window-grid", "4;8"],
+     "--window-grid must be comma-separated integers"),
+    (["exp", "run", "delta-kills-density", "--param", "k"],
+     "--param expects KEY=VALUE, got 'k'"),
+    # a value that is not JSON is passed on as its text
+    (["exp", "run", "delta-kills-density", "--param", "k=four"],
+     "parameter k must be a JSON integer"),
+    (["dyn", "fstat", "--spec", CO3, "--horizon", "16", "--x", "greedy",
+      "--y", "random", "--n-grid", "8"],
+     "random point generator needs a seed"),
+    (["dyn", "proximal", "--spec", CO3, "--horizon", "16", "--x", "random",
+      "--y", "zero", "--block", "2"], "random point generator needs a seed"),
+])
+def test_bad_option_values_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == {"message": message,
@@ -355,6 +404,48 @@ def test_dyn_fstat_csv(capsys):
     assert lines[-1] == "64,61/64"
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["dyn", "fstat", "--x", "greedy", "--y", "random", "--l", "1",
+      "--n-grid", "16,32,63"], "fstat.csv"),
+    (["dyn", "proximal", "--x", "random", "--y", "zero", "--block", "4"],
+     "proximal.json"),
+])
+def test_seed_names_the_random_point(capsys, tmp_path, argv, name):
+    # --seed 5 with the name random is the point random:5, in the output
+    # and in the manifest alike
+    spec = ["--spec", CO3, "--horizon", "64"]
+    seeded, named = tmp_path / "seeded", tmp_path / "named"
+    code, out, err = run_cli(capsys, *argv, *spec, "--seed", "5",
+                             "--out", str(seeded))
+    assert (code, err) == (0, "")
+    argv = ["random:5" if arg == "random" else arg for arg in argv]
+    assert run_cli(capsys, *argv, *spec, "--out", str(named)) == (0, out, "")
+    assert (seeded / name).read_text() == (named / name).read_text()
+    manifests = [json.loads((d / "manifest.json").read_text())
+                 for d in (seeded, named)]
+    for manifest in manifests:
+        manifest.pop("timestamp")
+    assert manifests[0] == manifests[1]
+    assert "random:5" in (manifests[0]["parameters"]["x"],
+                          manifests[0]["parameters"]["y"])
+
+
+def test_detect_syndetic_empty_set(capsys):
+    code, out, err = run_cli(capsys, "detect", "syndetic", "--spec",
+                             '{"type":"explicit","elems":[]}',
+                             "--horizon", "8")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"result": "none",
+                               "reason": "set empty on horizon"}
+
+
+def test_dyn_periodic_missing_multiple(capsys):
+    code, out, err = run_cli(capsys, "dyn", "periodic", "--spec", CO3,
+                             "--k", "3", "--horizon", "24")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"k": 3, "point": None, "failing_multiple": 3}
+
+
 def test_dyn_periodic(capsys):
     code, out, _ = run_cli(capsys, "dyn", "periodic", "--spec",
                            '{"type":"multiples","k":3}', "--k", "3",
@@ -370,6 +461,42 @@ def test_exp_run_param_override(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "consistent"
     assert payload["params"]["k"] == 4
+
+
+def test_exp_run_candidate_set_override(capsys):
+    code, out, err = run_cli(capsys, "exp", "run",
+                             "positive-entropy-no-periodic", "--param",
+                             "candidate_set=[1,2,4,8,16]")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["params"]["candidate_set"] == [1, 2, 4, 8, 16]
+    assert "using user-supplied candidate set" in payload["notes"]
+
+
+def test_exp_run_out_of_budget_writes_no_table(capsys, tmp_path):
+    # the budget runs out before any table is made, so there is no CSV
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "exp", "run", "squares-zero-entropy",
+                             "--budget", "10", "--plot", "--out",
+                             str(out_dir))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "inconclusive"
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "manifest.json", "squares-zero-entropy.json"]
+
+
+def test_one_point_plot(capsys, tmp_path):
+    # one n, and h_n = omega_n / n = 1 on the full shift: both axes have a
+    # single value, and each is drawn over a span of one from it
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "lang", "entropy", "--spec",
+                             '{"type":"multiples","k":1}', "--n-grid", "8",
+                             "--plot", "--out", str(out_dir))
+    assert (code, err) == (0, "")
+    svg = (out_dir / "profile.svg").read_text()
+    assert '<polyline fill="none" stroke="#1f6feb" stroke-width="1.5" ' \
+        'points="60.00,350.00"/>' in svg
+    assert '>9</text>' in svg and '>2</text>' in svg
 
 
 @pytest.mark.parametrize("experiment, param", [

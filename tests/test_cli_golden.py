@@ -69,6 +69,12 @@ CASES = {
     "dyn.fstat": ["dyn", "fstat", "--spec", CO2, "--horizon", "64",
                   "--x", "greedy", "--y", "maxones:8", "--l", "1",
                   "--n-grid", "16,32,64", "--plot", "--out", OUT],
+    # the grid ends below the horizon by l, so the CSV and the plot are
+    # written; --seed 5 makes the name random into random:5
+    "dyn.fstat-plot": ["dyn", "fstat", "--spec", CO2, "--horizon", "64",
+                       "--x", "greedy", "--y", "random", "--seed", "5",
+                       "--l", "1", "--n-grid", "16,32,63", "--plot",
+                       "--out", OUT],
     "dyn.proximal": ["dyn", "proximal", "--spec", CO3, "--horizon", "64",
                      "--x", "greedy", "--y", "zero", "--block", "4",
                      "--out", OUT],
@@ -78,6 +84,9 @@ CASES = {
                 "--plot", "--out", OUT],
     "exp.run-trend": ["exp", "run", "zero-density-zero-entropy",
                       "--out", OUT],
+    # a table with an h_n column, so --plot writes its SVG
+    "exp.run-plot": ["exp", "run", "zero-density-zero-entropy", "--plot",
+                     "--out", OUT],
     "exp.run-squares": ["exp", "run", "squares-zero-entropy", "--param",
                         "deep_budget=1000", "--out", OUT],
     # no three integers have pairwise odd differences; the rooted search
@@ -182,6 +191,12 @@ EXPECTED = {
     'dyn.fstat': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         '4b176994ecf3e5af13088f79114f9c0c3233c8f3b4ed8893390de032bcd8f6c3',
         {}),
+    # the manifest records "y": "random:5", the name the point is built from
+    'dyn.fstat-plot': (0, '4e2fe470c42f4be1550304ff1b90876fbe6457f70438a76c6bf8edb964a68133',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        {'fstat.csv': '4e2fe470c42f4be1550304ff1b90876fbe6457f70438a76c6bf8edb964a68133',
+         'fstat.svg': '8610c17c5fc4c7735980db876d11816a02818ac5b63863e49f90001e7e807b98',
+         'manifest.json': '2beb411922849250eb41a596bbeef9dbfe61c459691bd9d9d01a1914e7ba03d2'}),
     'dyn.periodic': (0, 'b8031ea518dd465f22d6c3dc09fbec8b1c69e59bb89449b1a25a69a44f24a865',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         {'manifest.json': '27a5def5e0ab2b1f3809107f020b5d251effc86d1c87cb555d0ec817a9e891dc',
@@ -204,6 +219,12 @@ EXPECTED = {
         {'delta-kills-density.csv': 'f4f8dd49c6220f7e46fa6be57200e18d9f0a82722571a5ffaeee827f48442fbe',
          'delta-kills-density.json': '635e4827656e944bd66c943d847599a7ddcabb93bcb474d9d65b13ee342a141e',
          'manifest.json': '2c870996f741fcba486493009207a77374e5d9f28b396786a6c70277bb793ca6'}),
+    'exp.run-plot': (0, '3d45b589f346571fc4e4c384053f91825854903126915f0d70f5b8bc92e58787',
+        'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+        {'manifest.json': '830d6cee061c160d4a6119486f82b20a326c8a822afd0b6144dbcf1a0865e0b6',
+         'zero-density-zero-entropy.csv': '5f04123edc9777326d6f0e6aff87ca38d1e5c73f9534af39154514eac0f41bc7',
+         'zero-density-zero-entropy.json': '3d45b589f346571fc4e4c384053f91825854903126915f0d70f5b8bc92e58787',
+         'zero-density-zero-entropy.svg': '0f64606666562fd619752631b555106b1db8b6c24a1c933ef51202d2ee68bbe5'}),
     # re-pinned when the chain search was rooted at 1: the depth-5 note
     # reads "outcome: none" where it read "exhausted its budget"
     'exp.run-squares': (0, '4ebad1558b51010f3c0ac17b54418f81b02b7030d9f5ac959d2ebdcd4e575432',

@@ -168,6 +168,9 @@ def test_depth_validation(m2_view):
         find_ip_generator(m2_view, 0, 10)
     with pytest.raises(ValidationError):
         find_delta_chain(m2_view, 3, 0)
+    with pytest.raises(ValidationError,
+                       match="^search bound 65 exceeds horizon 64$"):
+        find_delta_chain(m2_view, 3, 65)
 
 
 def test_witness_json_round_trip(squares_view):
@@ -193,6 +196,13 @@ def test_verify_witness_rejects_bad(m2_view):
     good = StructureWitness(kind="ip_generator", payload=(2, 4),
                             verified=True, depth=2, bound=10)
     assert verify_witness(good, m2_view)
+    hit = StructureWitness(kind="intersective_hit", payload=2, verified=True,
+                           pair=(1, 3))
+    assert verify_witness(hit, m2_view)
+    assert verify_witness(replace(hit, pair=None), m2_view) is False
+    with pytest.raises(ValidationError,
+                       match="^unknown witness kind 'mystery'$"):
+        verify_witness(replace(hit, kind="mystery"), m2_view)
 
 
 @pytest.mark.parametrize("payload, expected", [

@@ -66,6 +66,26 @@ def test_make_point_rejects_negative_horizon(name):
         make_point(view, name, -1)
 
 
+@pytest.mark.parametrize("name, horizon, message", [
+    ("zero", 65, "point horizon 65 exceeds view horizon 64"),
+    ("maxones:17", 16, "maxones window exceeds point horizon"),
+    ("maxones:x", 16, "bad maxones window: 'x'"),
+    ("periodic:2.5", 16, "bad period: '2.5'"),
+    ("random:seven", 16, "bad seed: 'seven'"),
+    ("random", 16, "random point generator needs a seed"),
+])
+def test_make_point_rejects(co3_view, name, horizon, message):
+    with pytest.raises(ValidationError) as err:
+        make_point(co3_view, name, horizon)
+    assert str(err.value) == message
+
+
+def test_make_point_random_names_its_seed(co3_view):
+    point = make_point(co3_view, "random:7", 64)
+    assert point == random_point(co3_view, 64, seed=7)
+    assert point.label == "random:7"
+
+
 def test_random_point_deterministic(co3_view):
     a = random_point(co3_view, 64, seed=7)
     b = random_point(co3_view, 64, seed=7)
@@ -180,6 +200,20 @@ def test_proximal_probe_rejects_non_integers(co3_view, block):
     with pytest.raises(ValidationError) as err:
         proximal_probe(x, y, block)
     assert str(err.value) == "block must lie in [1..16]"
+
+
+@pytest.mark.parametrize("probe, message", [
+    (lambda x, y: cylinder_distance_exponent(x.config, y.config),
+     "words must have equal lengths"),
+    (lambda x, y: f_statistic(x, y, 0, [4]), "points must have equal lengths"),
+    (lambda x, y: proximal_probe(x, y, 2), "points must have equal lengths"),
+], ids=["cylinder_distance_exponent", "f_statistic", "proximal_probe"])
+def test_probes_reject_unequal_lengths(co3_view, probe, message):
+    x = make_point(co3_view, "greedy", 16)
+    y = make_point(co3_view, "greedy", 17)
+    with pytest.raises(ValidationError) as err:
+        probe(x, y)
+    assert str(err.value) == message
 
 
 def test_periodic_point_check():

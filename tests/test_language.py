@@ -57,12 +57,30 @@ def test_configuration_validation():
         Configuration(length=3, ones=(1, 1))
     with pytest.raises(ValidationError):
         Configuration(length=-1, ones=())
+    with pytest.raises(ValidationError,
+                       match="^word must consist of 0s and 1s$"):
+        Configuration.from_word("102")
 
 
 def test_is_admissible(m2_view):
     assert is_admissible(Configuration.from_word("10101"), m2_view)
     assert not is_admissible(Configuration.from_word("11"), m2_view)
     assert is_admissible(Configuration.from_word("00000"), m2_view)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda view: is_admissible(Configuration(65, (0,)), view),
+     "configuration length 65 exceeds horizon 64"),
+    (lambda view: greedy_point(view, 65),
+     "point horizon 65 exceeds view horizon 64"),
+    (lambda view: find_join_gap(view, Configuration.from_word("1"),
+                                Configuration.from_word("1"), 64),
+     "cross differences would exceed the horizon"),
+], ids=["is_admissible", "greedy_point", "find_join_gap"])
+def test_past_the_horizon_rejected(m2_view, call, message):
+    with pytest.raises(ValidationError) as err:
+        call(m2_view)
+    assert str(err.value) == message
 
 
 def test_count_empty_word(full_view):

@@ -80,6 +80,14 @@ def test_package_exports_every_layer_and_name():
     assert got["star"] == ALL
 
 
+def test_package_namespace_in_process():
+    import spacelab
+    assert set(ALL) <= set(dir(spacelab))
+    with pytest.raises(AttributeError,
+                       match="^module 'spacelab' has no attribute 'nope'$"):
+        spacelab.nope
+
+
 # records the spacelab source files whose code runs during one CLI call,
 # and the modules it loads
 TRACE_CLI = """

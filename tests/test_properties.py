@@ -399,6 +399,36 @@ def test_table_matches_set_semantics(case):
     assert elements(view) == sorted(ps)
 
 
+def bohr_cross_multiplied(alpha, interval, horizon):
+    """Bohr members by the rule per n: frac(n * alpha) = r / q with
+    r = n * p mod q, and lo < r / q < hi decided by cross-multiplying."""
+    a, lo, hi = (Fraction(repr(float(x))) for x in (alpha, *interval))
+    p, q = a.numerator, a.denominator
+    return [n for n in range(1, horizon + 1)
+            if lo.numerator * q < n * p % q * lo.denominator
+            and n * p % q * hi.denominator < hi.numerator * q]
+
+
+# decimal denominators; with one for alpha and one for the window, lo * q
+# or hi * q is an integer whenever the window's divides alpha's reduced q
+BOHR_DENOMINATORS = [2, 4, 5, 8, 10, 16, 20, 25, 100, 1000, 10 ** 11]
+
+
+@given(data=st.data())
+@SETTINGS
+def test_bohr_bits_match_cross_multiplication(data):
+    den = data.draw(st.sampled_from(BOHR_DENOMINATORS))
+    alpha = data.draw(st.integers(min_value=1, max_value=den - 1)) / den
+    den = data.draw(st.sampled_from(BOHR_DENOMINATORS[:-1]))
+    lo, hi = sorted(data.draw(st.lists(
+        st.integers(min_value=0, max_value=den), min_size=2, max_size=2,
+        unique=True)))
+    interval = (lo / den, hi / den)
+    horizon = data.draw(st.integers(min_value=1, max_value=300))
+    view = build_pset(Bohr(alpha=alpha, interval=interval), horizon)
+    assert elements(view) == bohr_cross_multiplied(alpha, interval, horizon)
+
+
 @given(case=small_sets(), data=st.data())
 @SETTINGS
 def test_points_and_admissibility_match_reference(case, data):

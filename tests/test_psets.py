@@ -121,6 +121,21 @@ def test_bohr_membership_margin():
     assert elements(half) == []
 
 
+@pytest.mark.parametrize("alpha, interval, members", [
+    (0.25, (0.25, 0.75), [2, 6, 10, 14, 18]),
+    (0.2, (0.0, 0.4), [1, 6, 11, 16]),
+    (0.3, (0.1, 1.0), [1, 2, 3, 4, 5, 6, 8, 9, 11, 12, 13, 14, 15, 16, 18,
+                       19]),
+    (0.61803398875, (0.25, 0.5), [4, 7, 12, 15, 20]),
+])
+def test_bohr_window_ends_on_a_multiple_of_one_over_q(alpha, interval,
+                                                      members):
+    # lo * q and hi * q are integers here (q = 4, 5, 10 and 8 * 10^8); in
+    # the first three frac(n * alpha) lands on an end for some n, and the
+    # open window leaves that n out
+    assert elements(build_pset(Bohr(alpha, interval), 20)) == members
+
+
 # one spec per kind, built with list arguments, in the order of README's
 # "Spec JSON" block, with its digest pinned
 KIND_EXAMPLES = [
@@ -236,6 +251,26 @@ def test_parse_error_paths():
     assert "of/1" in str(err.value)
 
 
+@pytest.mark.parametrize("obj, message, path", [
+    ({"type": "explicit", "elems": 5}, "expected a list of integers",
+     "elems"),
+    ({"type": "explicit", "elems": [1, "2"]}, "elements must be integers",
+     "elems/1"),
+    ({"type": "multiples", "k": "2"}, "expected an integer", "k"),
+    ({"type": "bohr", "alpha": "0.5", "interval": [0.0, 1.0]},
+     "alpha must be a number", "alpha"),
+    ([], "spec node must be a JSON object", ""),
+    ({"k": 2}, "missing 'type' tag", ""),
+    ({"type": "union", "of": []}, "'of' must be a nonempty list", "of"),
+    ({"type": "complement", "of": {"type": "intersect", "of": {}}},
+     "'of' must be a nonempty list", "of/of"),
+])
+def test_parse_rejects_and_names_the_node(obj, message, path):
+    with pytest.raises(SpecError) as err:
+        parse_spec(obj)
+    assert (err.value.args[0], err.value.path) == (message, path)
+
+
 def nested(levels):
     """`levels` nested nodes: complements around the multiples of 2."""
     obj = {"type": "multiples", "k": 2}
@@ -313,6 +348,12 @@ def test_density_prefix_csv_matches_fractions(name):
     assert density_prefix_csv(report) == "\n".join(lines) + "\n"
 
 
+def test_load_member_rejects_unknown_name():
+    with pytest.raises(ValidationError,
+                       match="^unknown corpus member 'nope'$"):
+        corpus.load_member("nope")
+
+
 def test_density_squares_banach(squares_view):
     report = density_report(squares_view, [50], n0=1000)
     assert report.banach_profile == ((50, Fraction(7, 50)),)
@@ -323,3 +364,6 @@ def test_density_window_validation(co2_view):
         density_report(co2_view, [0])
     with pytest.raises(ValidationError):
         density_report(co2_view, [128])
+    with pytest.raises(ValidationError,
+                       match="^window_grid must be nonempty$"):
+        density_report(co2_view, [])
