@@ -234,11 +234,6 @@ def _cmd_lang_transitive(args, view) -> tuple:
 
 
 def _points(args, view) -> tuple:
-    # --seed N names the point random:N, here once, so that the points
-    # and the manifest's "x" and "y" read the same name
-    if args.seed is not None:
-        args.x, args.y = (f"random:{args.seed}" if name == "random" else name
-                          for name in (args.x, args.y))
     return tuple(dynamics.make_point(view, name, view.horizon,
                                      budget=args.budget)
                  for name in (args.x, args.y))
@@ -416,15 +411,12 @@ _COMMANDS = {
           ("--x", {"required": True, "help": "point generator name"}),
           ("--y", {"required": True, "help": "point generator name"}),
           ("--l", {"type": int, "default": 0}),
-          ("--n-grid", {"required": True}),
-          ("--seed", {"type": int, "default": None}), _BUDGET, _OUT,
-          _PLOT)),
+          ("--n-grid", {"required": True}), _BUDGET, _OUT, _PLOT)),
         ("proximal", {"help": "agreement window probe"}, _cmd_dyn_proximal,
          None,
          (_SPEC, _HORIZON, ("--x", {"required": True}),
           ("--y", {"required": True}),
-          ("--block", {"type": int, "required": True}),
-          ("--seed", {"type": int, "default": None}), _BUDGET, _OUT)),
+          ("--block", {"type": int, "required": True}), _BUDGET, _OUT)),
         ("periodic", {"help": "period-k point check"}, _cmd_dyn_periodic,
          None,
          (_SPEC, ("--k", {"type": int, "required": True}), _HORIZON,

@@ -404,32 +404,6 @@ def test_dyn_fstat_csv(capsys):
     assert lines[-1] == "64,61/64"
 
 
-@pytest.mark.parametrize("argv, name", [
-    (["dyn", "fstat", "--x", "greedy", "--y", "random", "--l", "1",
-      "--n-grid", "16,32,63"], "fstat.csv"),
-    (["dyn", "proximal", "--x", "random", "--y", "zero", "--block", "4"],
-     "proximal.json"),
-])
-def test_seed_names_the_random_point(capsys, tmp_path, argv, name):
-    # --seed 5 with the name random is the point random:5, in the output
-    # and in the manifest alike
-    spec = ["--spec", CO3, "--horizon", "64"]
-    seeded, named = tmp_path / "seeded", tmp_path / "named"
-    code, out, err = run_cli(capsys, *argv, *spec, "--seed", "5",
-                             "--out", str(seeded))
-    assert (code, err) == (0, "")
-    argv = ["random:5" if arg == "random" else arg for arg in argv]
-    assert run_cli(capsys, *argv, *spec, "--out", str(named)) == (0, out, "")
-    assert (seeded / name).read_text() == (named / name).read_text()
-    manifests = [json.loads((d / "manifest.json").read_text())
-                 for d in (seeded, named)]
-    for manifest in manifests:
-        manifest.pop("timestamp")
-    assert manifests[0] == manifests[1]
-    assert "random:5" in (manifests[0]["parameters"]["x"],
-                          manifests[0]["parameters"]["y"])
-
-
 def test_detect_syndetic_empty_set(capsys):
     code, out, err = run_cli(capsys, "detect", "syndetic", "--spec",
                              '{"type":"explicit","elems":[]}',

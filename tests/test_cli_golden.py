@@ -70,11 +70,10 @@ CASES = {
                   "--x", "greedy", "--y", "maxones:8", "--l", "1",
                   "--n-grid", "16,32,64", "--plot", "--out", OUT],
     # the grid ends below the horizon by l, so the CSV and the plot are
-    # written; --seed 5 makes the name random into random:5
+    # written
     "dyn.fstat-plot": ["dyn", "fstat", "--spec", CO2, "--horizon", "64",
-                       "--x", "greedy", "--y", "random", "--seed", "5",
-                       "--l", "1", "--n-grid", "16,32,63", "--plot",
-                       "--out", OUT],
+                       "--x", "greedy", "--y", "random:5", "--l", "1",
+                       "--n-grid", "16,32,63", "--plot", "--out", OUT],
     "dyn.proximal": ["dyn", "proximal", "--spec", CO3, "--horizon", "64",
                      "--x", "greedy", "--y", "zero", "--block", "4",
                      "--out", OUT],
@@ -191,7 +190,6 @@ EXPECTED = {
     'dyn.fstat': (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         '4b176994ecf3e5af13088f79114f9c0c3233c8f3b4ed8893390de032bcd8f6c3',
         {}),
-    # the manifest records "y": "random:5", the name the point is built from
     'dyn.fstat-plot': (0, '4e2fe470c42f4be1550304ff1b90876fbe6457f70438a76c6bf8edb964a68133',
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         {'fstat.csv': '4e2fe470c42f4be1550304ff1b90876fbe6457f70438a76c6bf8edb964a68133',
