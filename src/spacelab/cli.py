@@ -309,7 +309,7 @@ def _cmd_exp_run(args, view) -> tuple:
     overrides = dict(_parse_param(p) for p in args.param or [])
     report = experiments.run_experiment(args.experiment_id,
                                         overrides or None, budget=args.budget)
-    files = _experiment_files(report, args.plot)
+    files = _experiment_files(report, args.plot and args.out)
     return (files[f"{report.experiment}.json"], files,
             {"experiment": args.experiment_id, "overrides": overrides})
 

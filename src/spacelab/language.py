@@ -389,18 +389,23 @@ def scan_point(view: PSetView, horizon: int, keep=None) -> tuple:
     Each position legal against the positions kept so far is offered to
     ``keep()`` in increasing order and kept when it returns true (every
     legal position is kept when `keep` is None).  Only legal positions
-    are visited: the scan walks the set bits of a candidate mask.
+    are visited: the scan walks the set bits of a candidate mask that
+    starts after the last position decided, so each step costs
+    O((horizon - pos) / 64) words and the steps grow cheaper as it goes.
     """
-    allowed = (1 << max(horizon, 0)) - 1
+    # bit i of legal is position pos + 1 + i; once pos is kept, only the
+    # positions pos + 1 + i with i + 1 in P stay legal
+    legal = (1 << max(horizon, 0)) - 1
+    pos = -1
     ones = []
-    while allowed:
-        low = allowed & -allowed
-        pos = low.bit_length() - 1
+    while legal:
+        step = (legal & -legal).bit_length()
+        pos += step
         if keep is None or keep():
             ones.append(pos)
-            allowed &= view.after(pos)
+            legal = legal >> step & view.bits
         else:
-            allowed ^= low
+            legal >>= step
     return tuple(ones)
 
 

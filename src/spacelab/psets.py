@@ -9,16 +9,18 @@ materialize over a horizon [1..H] as an integer bitmask (bit n-1 set iff
 n is a member), with a byte table alongside for constant-time lookups.
 Builders mark members in a byte buffer and convert it to the bitmask in
 one O(H) step, because setting one bit of an H-bit int costs O(H / 64);
-the squares, √H of them, set their bits in a packed buffer of H / 8
-bytes, and finite sums grow by one shift-or per generator.  A view
-tests a whole set of positions against P in one place,
-:meth:`PSetView.admits`, and :func:`_cliques` walks all such sets in
-lexicographic order for the delta-chain search and the words of the
-transitivity check.  ``max_ones`` (colour bounds),
+multiples fill the buffer with one strided slice and Bohr sets with one
+per lap of a rotation, about 2√H of them.  The squares, √H of them, set
+their bits in a packed buffer of H / 8 bytes, and finite sums grow by
+one shift-or per generator.  A view tests a whole set of positions
+against P in one place, :meth:`PSetView.admits`, and :func:`_cliques`
+walks all such sets in lexicographic order for the delta-chain search
+and the words of the transitivity check.  ``max_ones`` (colour bounds),
 the word counter (a memo), its naive oracle (independent) and
 ``scan_point`` (one path) keep their own loops.  Densities are exact
 rationals, built on demand from stored integer prefix counts, and their
-extremes are found by integer cross-multiplication.
+extremes are found among the run boundaries of P by integer
+cross-multiplication.
 
 Conventions: N starts at 1.  Word positions elsewhere in the package are
 0-based; the difference of two positions is the 1-based number looked up
@@ -32,9 +34,9 @@ import json
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations, compress, islice
+from itertools import accumulate, chain, combinations, compress, islice
 from math import ceil, floor, isqrt
-from operator import sub
+from operator import gt, lt, sub
 from typing import Optional, Sequence
 
 from .errors import Record, SpecError, ValidationError, check_int
@@ -247,7 +249,10 @@ class Bohr(PSetSpec):
 
     alpha and both endpoints are read as the decimal rationals that their
     JSON text denotes, so membership involves no floating-point rounding
-    and the materialized set is the same on every platform.
+    and the materialized set is the same on every platform.  The members
+    are marked lap by lap: along each class mod a step s <= √H + 1 the
+    rotation wraps about 2√H times in all over [1..H], and between two
+    wraps the members form one run of the class, set by one slice.
     """
 
     alpha: float
@@ -287,14 +292,33 @@ class Bohr(PSetSpec):
         # two integer bounds are computed once from the exact Fractions
         low, high = floor(lo * q), ceil(hi * q)
         flags = bytearray(horizon)
-        r = 0
-        for i in range(horizon):
-            # r belongs to n = i + 1
-            r += p
-            if r >= q:
-                r -= q
-            if low < r < high:
-                flags[i] = 1
+        # along a class n = j, j + s, j + 2s, ... r moves by d = s * p mod q;
+        # by Dirichlet some s <= S = isqrt(H) + 1 has min(d, q - d) < q / S,
+        # so the classes wrap about s + H * min(d, q - d) / q <= 2 * sqrt(H)
+        # times in all, and between two wraps the members are one run
+        step = min(range(1, isqrt(horizon) + 2),
+                   key=lambda s: min(s * p % q, -s * p % q))
+        d = step * p % q
+        if 2 * d > q:
+            # mirror: (q - r) mod q = n * (q - p) mod q moves by q - d, and
+            # low < r < high iff q - high < q - r < q - low (r = 0 is out)
+            p, d, low, high = q - p, q - d, q - high, q - low
+        for j in range(1, min(step, horizon) + 1):
+            r, last = j * p % q, (horizon - j) // step
+            if not d:
+                # q divides the step: the class is all members or none
+                if low < r < high:
+                    flags[j - 1::step] = b"\1" * (last + 1)
+                continue
+            for lap in range((r + last * d) // q + 1):
+                # the k-th of the class has r + k * d = lap * q + residue,
+                # so on this lap low < residue < high for k in [a..b]
+                base = lap * q - r
+                a = max(0, -((-base - low - 1) // d))
+                b = min(last, (base + high - 1) // d)
+                if a <= b:
+                    flags[j - 1 + a * step:j + b * step:step] = \
+                        b"\1" * (b - a + 1)
         return _mask_from_flags(flags)
 
 
@@ -422,6 +446,13 @@ def _parse_node(obj: object, path: str, level: int) -> PSetSpec:
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
+def _flags_from_mask(mask: int, length: int) -> bytes:
+    # byte i is 1 iff bit i of mask is set, for i < length; the inverse
+    # of _mask_from_flags, in O(length)
+    digits = format(mask, f"0{length}b")[:-length - 1:-1]
+    return digits.encode("ascii").translate(_BIT_BYTES)
+
+
 class PSetView(Record):
     """Materialized membership of a described set over [1..horizon].
 
@@ -445,8 +476,7 @@ class PSetView(Record):
         indexing it costs O(1), where reading one bit of ``bits`` costs
         O(horizon / 64).
         """
-        digits = format(self.bits << 1, f"0{self.horizon + 1}b")[::-1]
-        return digits[:self.horizon + 1].encode("ascii").translate(_BIT_BYTES)
+        return _flags_from_mask(self.bits << 1, self.horizon + 1)
 
     def after(self, p: int) -> int:
         """Candidate mask once position p is chosen: bit q is set iff
@@ -565,23 +595,51 @@ class DensityReport(Record):
                      for n, count in enumerate(self.prefix_counts, 1))
 
 
-def _max_window_count(table: bytes, width: int) -> int:
-    # as m steps up, the window (m, m+width] gains table[m+width+1] and
-    # loses table[m+1]; the running sums are every window's count
-    steps = map(sub, table[width + 1:], table[1:])
-    return max(accumulate(steps, initial=sum(table[1:width + 1])))
+def _least_extremes(bits: int, counts: tuple, n0: int) -> list:
+    # the least n >= n0 where c(n)/n is least, and where it is greatest.
+    # c(n)/n does not fall along a run of members and does not rise along
+    # a run of non-members, so the first n to reach the minimum is n0, H
+    # or a non-member followed by a member, and the first to reach the
+    # maximum is n0, H or a member followed by a non-member; bit n - 1 of
+    # each boundary mask marks such an n, and c/n beats c'/n' iff
+    # better(c * n', c' * n)
+    H = len(counts)
+    found = []
+    for boundaries, better in ((~bits & bits >> 1, lt),
+                               (bits & ~(bits >> 1), gt)):
+        flags = _flags_from_mask(boundaries >> (n0 - 1), H - n0 + 1)
+        best = n0
+        for n in chain(compress(range(n0, H + 1), flags), (H,)):
+            if better(counts[n - 1] * best, counts[best - 1] * n):
+                best = n
+        found.append(best)
+    return found
+
+
+def _max_window_count(counts: tuple, starts: bytes, before: list,
+                      width: int) -> int:
+    # a window (m, m+width] counts no more than (m+1, m+width+1] when m+1
+    # is not a member, and no more than (m-1, m+width-1] when m is a
+    # member; so the best is the last window or one that starts where a
+    # run of members does, at p, with counts[p + width - 2] - before[i]
+    # members for the i-th run
+    heads = compress(islice(counts, width - 1, None), starts)
+    last = counts[-1] - (counts[-width - 1] if width < len(counts) else 0)
+    return max(last, max(map(sub, heads, before), default=0))
 
 
 def density_report(view: PSetView, window_grid: Sequence[int],
                    n0: Optional[int] = None) -> DensityReport:
     """Compute the four density notions of the profile exactly.
 
-    Runs in O(H * (1 + len(window_grid))) integer steps and no float
-    decides anything.  The H prefix counts are stored; their H
-    ``Fraction``s are not built here but on the first read of
-    ``prefix_densities``.  The tail extremes are found by a scan over
-    the stored counts, comparing count/n as integer cross-products;
-    each reported extreme is the rational already in
+    Runs in C-level passes over the H positions, one for the prefix
+    counts and one per window, plus one Python step per boundary of a
+    run of members in the tail; no float decides anything.  The H
+    prefix counts are stored; their H ``Fraction``s are not built here
+    but on the first read of ``prefix_densities``.  The tail extremes
+    are found among the run boundaries, comparing count/n as integer
+    cross-products, and each window count among the windows that start
+    a run of members; each reported extreme is the rational already in
     ``prefix_densities`` (at the least n >= n0 where it occurs), since
     both are ``Fraction(count, n)`` of the same count and n.
 
@@ -606,19 +664,17 @@ def density_report(view: PSetView, window_grid: Sequence[int],
     for w in grid:
         check_int(w, f"window length {w!r} outside [1..{H}]", 1, H)
 
-    table = view.table
-    counts = tuple(accumulate(table[1:]))
-    # c/n < c'/n' iff c * n' < c' * n
-    tail = zip(range(n0, H + 1), islice(counts, n0 - 1, None))
-    lo_n, lo_count = hi_n, hi_count = next(tail)
-    for n, count in tail:
-        if count * lo_n < lo_count * n:
-            lo_n, lo_count = n, count
-        elif count * hi_n > hi_count * n:
-            hi_n, hi_count = n, count
-    banach = tuple((w, Fraction(_max_window_count(table, w), w))
-                   for w in grid)
+    bits = view.bits
+    counts = tuple(accumulate(view.table[1:]))
+    lo_n, hi_n = _least_extremes(bits, counts, n0)
+    # byte p - 1 of starts is 1 iff a run of members starts at p, and
+    # before holds the members ahead of each run
+    starts = _flags_from_mask(bits & ~(bits << 1), H)
+    before = list(compress(chain((0,), counts), starts))
+    banach = tuple(
+        (w, Fraction(_max_window_count(counts, starts, before, w), w))
+        for w in grid)
     return DensityReport(horizon=H, n0=n0, prefix_counts=counts,
-                         lower_est=Fraction(lo_count, lo_n),
-                         upper_est=Fraction(hi_count, hi_n),
+                         lower_est=Fraction(counts[lo_n - 1], lo_n),
+                         upper_est=Fraction(counts[hi_n - 1], hi_n),
                          banach_profile=banach)

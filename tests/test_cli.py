@@ -459,6 +459,23 @@ def test_exp_run_out_of_budget_writes_no_table(capsys, tmp_path):
         "manifest.json", "squares-zero-entropy.json"]
 
 
+def test_exp_run_plot_without_out_draws_nothing(capsys, monkeypatch):
+    # --plot needs --out, as for the other commands: no SVG is built
+    _, plain, _ = run_cli(capsys, "exp", "run", "zero-density-zero-entropy")
+    calls = []
+    draw = cli.reports.svg_line_plot
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(cli.reports, "svg_line_plot", counted)
+    code, out, err = run_cli(capsys, "exp", "run", "zero-density-zero-entropy",
+                             "--plot")
+    assert (code, out, err) == (0, plain, "")
+    assert calls == []
+
+
 def test_one_point_plot(capsys, tmp_path):
     # one n, and h_n = omega_n / n = 1 on the full shift: both axes have a
     # single value, and each is drawn over a span of one from it

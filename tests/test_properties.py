@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spacelab import (
+    MEMBERS,
     BudgetError,
     Configuration,
     ValidationError,
@@ -25,6 +26,7 @@ from spacelab import (
     finite_sums,
     greedy_point,
     is_admissible,
+    load_member,
     max_ones,
     member,
     proximal_probe,
@@ -38,7 +40,7 @@ from spacelab.detect import StructureWitness
 from spacelab.dynamics import OrbitPoint, random_point
 from spacelab.psets import (Bohr, Complement, DeltaOf, DiffSet, Explicit,
                             FiniteSums, Intersect, Multiples, Squares, Union,
-                            _cliques)
+                            _cliques, _least_extremes)
 from conftest import brute_count, brute_f, brute_max_ones
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -412,19 +414,44 @@ def bohr_cross_multiplied(alpha, interval, horizon):
 # decimal denominators; with one for alpha and one for the window, lo * q
 # or hi * q is an integer whenever the window's divides alpha's reduced q
 BOHR_DENOMINATORS = [2, 4, 5, 8, 10, 16, 20, 25, 100, 1000, 10 ** 11]
+# reduced denominators 8 * 10^8 and 2 * 10^16: the laps take long steps
+BOHR_ALPHAS = [0.61803398875, 0.41421356237309515]
 
 
 @given(data=st.data())
 @SETTINGS
 def test_bohr_bits_match_cross_multiplication(data):
     den = data.draw(st.sampled_from(BOHR_DENOMINATORS))
-    alpha = data.draw(st.integers(min_value=1, max_value=den - 1)) / den
+    alpha = data.draw(st.one_of(
+        st.sampled_from(BOHR_ALPHAS),
+        st.integers(min_value=1, max_value=den - 1).map(lambda a: a / den)))
     den = data.draw(st.sampled_from(BOHR_DENOMINATORS[:-1]))
     lo, hi = sorted(data.draw(st.lists(
         st.integers(min_value=0, max_value=den), min_size=2, max_size=2,
         unique=True)))
     interval = (lo / den, hi / den)
-    horizon = data.draw(st.integers(min_value=1, max_value=300))
+    horizon = data.draw(st.integers(min_value=1, max_value=3000))
+    view = build_pset(Bohr(alpha=alpha, interval=interval), horizon)
+    assert elements(view) == bohr_cross_multiplied(alpha, interval, horizon)
+
+
+@pytest.mark.parametrize("alpha, interval, horizon", [
+    # q divides the step, so each class is all members or none
+    (0.5, (0.25, 0.75), 16),
+    (0.25, (0.0, 0.5), 100),
+    (0.2, (0.1, 1.0), 4999),
+    # the step 2 passes the horizon
+    (0.5, (0.0, 1.0), 1),
+    # the best step moves r by d > q / 2, so the residues are mirrored
+    (0.61803398875, (0.0, 0.25), 5000),
+    (0.41421356237309515, (0.25, 0.5), 5000),
+    (0.9, (0.5, 1.0), 7),
+    # and by d < q / 2
+    (0.61803398875, (0.75, 1.0), 2000),
+    (0.41421356237309515, (0.0, 1.0), 1000),
+])
+def test_bohr_lap_branches_match_cross_multiplication(alpha, interval,
+                                                      horizon):
     view = build_pset(Bohr(alpha=alpha, interval=interval), horizon)
     assert elements(view) == bohr_cross_multiplied(alpha, interval, horizon)
 
@@ -590,6 +617,41 @@ def test_density_extremes_with_ties(spec, members):
                 for n in range(n0, H + 1)]
         assert (report.lower_est, report.upper_est) == (min(tail), max(tail))
         assert type(report.lower_est) is type(report.upper_est) is Fraction
+
+
+LONG = 3000
+
+
+@pytest.mark.parametrize("name", MEMBERS)
+def test_long_horizon_densities_match_reference(name):
+    view = build_pset(load_member(name), LONG)
+    ps = set(elements(view))
+    counts = [0]
+    for n in range(1, LONG + 1):
+        counts.append(counts[-1] + (n in ps))
+    grid = [1, 7, LONG // 3, LONG]
+    for n0 in (1, LONG // 2, LONG):
+        report = density_report(view, grid, n0=n0)
+        tail = [(Fraction(counts[n], n), n) for n in range(n0, LONG + 1)]
+        lo, hi = min(tail)[0], max(tail)[0]
+        assert (report.lower_est, report.upper_est) == (lo, hi)
+        least = [next(n for d, n in tail if d == est) for est in (lo, hi)]
+        assert _least_extremes(view.bits, report.prefix_counts, n0) == least
+        assert report.banach_profile == tuple(
+            (w, Fraction(max(counts[m + w] - counts[m]
+                             for m in range(LONG - w + 1)), w))
+            for w in grid)
+
+
+@pytest.mark.parametrize("name", ["multiples_2", "co_squares",
+                                  "bohr_golden_quarter"])
+def test_long_horizon_points_match_reference(name):
+    view = build_pset(load_member(name), LONG)
+    ps = set(elements(view))
+    assert greedy_point(view, LONG).ones == ref_scan(ps, LONG)
+    rng = random.Random(11)
+    assert random_point(view, LONG, 11).config.ones \
+        == ref_scan(ps, LONG, keep=lambda: rng.random() < 0.5)
 
 
 # -- the clique searches against brute force ---------------------------------
