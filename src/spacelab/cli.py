@@ -3,9 +3,9 @@
 Every subcommand prints its primary result to stdout (a bare number for
 counts, JSON or CSV for everything else) and, when ``--out`` is given,
 writes the same data as files next to a ``manifest.json`` recording the
-tool version, spec digests, and resolved parameters.  Identical
-invocations produce byte-identical outputs except for the manifest's
-isolated timestamp field.
+tool version, spec digests, and resolved parameters.  Every output is
+a function of the command line and the spec files it names, so identical
+invocations produce byte-identical outputs, manifest included.
 
 Exit codes: 0 success, 2 validation error (including usage errors),
 3 "don't know": a search budget ran out or memory did.  Errors are
@@ -18,14 +18,11 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
 
 from . import corpus as corpus_mod
 from . import detect, dynamics, experiments, language, reports
 from .errors import DEFAULT_BUDGET, BudgetError, SpecError, ValidationError
 from .psets import PSetSpec, build_pset, density_report, parse_spec
-
-ENV_BUDGET = "SPACELAB_BUDGET"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,31 +78,13 @@ def _int_list(text: str, what: str) -> list:
     return values
 
 
-def _resolve_budget(value: Optional[int]) -> int:
-    if value is not None:
-        if value < 1:
-            raise ValidationError("budget must be positive")
-        return value
-    env = os.environ.get(ENV_BUDGET)
-    if env is not None:
-        try:
-            parsed = int(env)
-        except ValueError:
-            raise ValidationError(
-                f"{ENV_BUDGET} must be an integer, got {env!r}") from None
-        if parsed < 1:
-            raise ValidationError(f"{ENV_BUDGET} must be positive")
-        return parsed
-    return DEFAULT_BUDGET
-
-
 def _json_result(payload: dict, name: str, params: dict) -> tuple:
     # the common result: JSON on stdout and the same JSON as one file
     text = reports.json_text(payload)
     return text, {name: text}, params
 
 
-# Each handler takes the parsed arguments, with --budget resolved, and the
+# Each handler takes the parsed arguments, with --budget checked, and the
 # view of --spec (None for commands without one).  It returns (stdout
 # text, {file name: text} for --out, its own manifest parameters) and,
 # when it reads more specs than --spec, their digests by name.  main
@@ -334,7 +313,7 @@ _SPEC = ("--spec", {"required": True,
                     "help": "path to a spec JSON file, or inline JSON"})
 _HORIZON = ("--horizon", {"type": int, "required": True})
 _OPT_HORIZON = ("--horizon", {"type": int, "default": None})
-_BUDGET = ("--budget", {"type": int, "default": None})
+_BUDGET = ("--budget", {"type": int, "default": DEFAULT_BUDGET})
 _OUT = ("--out", {"help": "directory for output files"})
 _PLOT = ("--plot", {"action": "store_true",
                     "help": "also write SVG plots (requires --out)"})
@@ -474,8 +453,8 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         view = _view(args) if hasattr(args, "spec") else None
-        if hasattr(args, "budget"):
-            args.budget = _resolve_budget(args.budget)
+        if hasattr(args, "budget") and args.budget < 1:
+            raise ValidationError("budget must be positive")
         text, files, params, *extra = args.func(args, view)
         params.update(_shared_params(args, view))
         digests = {} if view is None else {"spec": view.spec_digest}

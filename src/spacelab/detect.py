@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import (DEFAULT_BUDGET, BudgetError, Record, ValidationError,
                      check_int, replace)
-from .psets import Bohr, PSetView, _cliques, build_pset, member
+from .psets import Bohr, FiniteSums, PSetView, _cliques, build_pset, member
 
 _PAYLOAD_KEYS = {
     "delta_chain": "S",
@@ -100,19 +100,22 @@ def verify_witness(witness: StructureWitness, view: PSetView) -> bool:
     is a strictly increasing tuple of integers spanning at most the
     horizon is tested whole by :meth:`PSetView.admits`; any other payload
     goes through :func:`member` pair by pair, which raises
-    :class:`ValidationError` on a difference outside [1..H].  IP sums
-    are read from the table when all are integers inside [1..H].
+    :class:`ValidationError` on a difference outside [1..H].  An IP
+    generator of integers >= 1 summing to at most H is checked in one
+    step: the mask of its finite sums, built by the shift-or of
+    :class:`~spacelab.psets.FiniteSums`, must lie inside P, the same
+    inclusion test :func:`check_bohr_avoidance` makes.  Any other IP
+    payload asks :func:`member` of each distinct sum in increasing order.
     """
     kind = witness.kind
     if kind == "delta_chain":
         return _differences_in(witness.payload, view)
     if kind == "ip_generator":
-        sums = finite_sums(witness.payload)
-        if (sums and all(isinstance(v, int) for v in witness.payload)
-                and sums[0] >= 1 and sums[-1] <= view.horizon):
-            table = view.table
-            return all(table[s] for s in sums)
-        return all(member(view, s) for s in sums)
+        gens = witness.payload
+        if (all(isinstance(g, int) and g >= 1 for g in gens)
+                and sum(gens) <= view.horizon):
+            return not FiniteSums(gens)._bits(view.horizon) & ~view.bits
+        return all(member(view, s) for s in finite_sums(gens))
     if kind == "ip_ip_generator":
         return _differences_in(tuple(finite_sums(witness.payload)), view)
     if kind == "intersective_hit":

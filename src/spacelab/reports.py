@@ -3,13 +3,12 @@
 Identical inputs must produce byte-identical outputs, so every format
 here is pinned: floats print with 17 significant digits, rationals as
 "p/q", JSON with sorted keys and two-space indent, CSV with a header row
-and no locale formatting.  The manifest isolates its timestamp in a
-single field so reruns can be compared by dropping that field alone.
+and no locale formatting.  The manifest holds no clock reading, so
+reruns compare byte for byte, manifest included.
 """
 
 from __future__ import annotations
 
-import datetime
 import json
 import os
 from fractions import Fraction
@@ -89,13 +88,12 @@ def density_banach_csv(report: DensityReport) -> str:
 
 
 def build_manifest(parameters: dict, spec_digests: dict) -> dict:
-    """Run manifest; everything except ``timestamp``, the time of this
-    call in UTC, is deterministic."""
+    """Run manifest: the tool version, the resolved parameters and the
+    spec digests, and nothing else, so it is deterministic."""
     return {
         "tool": {"name": "spacelab", "version": __version__},
         "parameters": parameters,
         "spec_digests": spec_digests,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
 
 

@@ -188,24 +188,20 @@ def test_criterion_10_f_statistic_sanity():
 
 def test_criterion_11_cli_determinism(tmp_path, capsys):
     dirs = (tmp_path / "run1", tmp_path / "run2")
+    streams = []
     for out_dir in dirs:
         code = cli_main(["corpus", "run-all", "--out", str(out_dir)])
         assert code == 0
-    capsys.readouterr()
-    index = json.loads((dirs[0] / "index.json").read_text())
-    assert index["verdicts"] and all(
-        v == "consistent" for v in index["verdicts"].values())
+        streams.append(capsys.readouterr())
+    assert streams[0] == streams[1]
+    index = json.loads(streams[0].out)
+    assert len(index["verdicts"]) == 9
+    assert all(v == "consistent" for v in index["verdicts"].values())
     names = sorted(p.name for p in dirs[0].iterdir())
+    assert "manifest.json" in names
     assert names == sorted(p.name for p in dirs[1].iterdir())
     for name in names:
-        a = (dirs[0] / name).read_text()
-        b = (dirs[1] / name).read_text()
-        if name == "manifest.json":
-            obj_a, obj_b = json.loads(a), json.loads(b)
-            assert obj_a.pop("timestamp") != ""
-            assert obj_b.pop("timestamp") != ""
-            assert obj_a == obj_b
-        else:
-            assert a == b, name
-    _report(11, "corpus run-all is byte-identical across runs outside "
-                "the manifest timestamp; all verdicts consistent")
+        first, second = ((d / name).read_bytes() for d in dirs)
+        assert first == second, name
+    _report(11, "corpus run-all is byte-identical across runs, stdout, "
+                "stderr and manifest included; all 9 verdicts consistent")

@@ -165,36 +165,6 @@ def test_squares_horizon_past_maxsize_exits_2(size):
     assert json.loads(proc.stderr)["error"] == TOO_LONG
 
 
-def test_env_budget(capsys, monkeypatch):
-    monkeypatch.setenv("SPACELAB_BUDGET", "900")
-    code, _, err = run_cli(capsys, "detect", "delta", "--spec", ODDS,
-                           "--depth", "3", "--bound", "30000")
-    assert code == 3
-    assert json.loads(err)["error"]["nodes"] == 901
-
-
-def test_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("SPACELAB_BUDGET", "900")
-    code, _, err = run_cli(capsys, "detect", "delta", "--spec", ODDS,
-                           "--depth", "3", "--bound", "30000",
-                           "--budget", "500")
-    assert code == 3
-    assert json.loads(err)["error"]["nodes"] == 501
-
-
-@pytest.mark.parametrize("value, message", [
-    ("abc", "SPACELAB_BUDGET must be an integer, got 'abc'"),
-    ("0", "SPACELAB_BUDGET must be positive"),
-])
-def test_env_budget_rejected(capsys, monkeypatch, value, message):
-    monkeypatch.setenv("SPACELAB_BUDGET", value)
-    code, out, err = run_cli(capsys, "lang", "count", "--spec", M2,
-                             "--n", "3")
-    assert (code, out) == (2, "")
-    assert json.loads(err)["error"] == {"message": message,
-                                        "type": "validation"}
-
-
 def test_validation_exit_code(capsys):
     code, out, err = run_cli(capsys, "lang", "count", "--spec",
                              "missing-file.json", "--n", "3")
@@ -331,6 +301,10 @@ def test_inline_spec_not_json(capsys):
      "random point generator needs a seed"),
     (["dyn", "proximal", "--spec", CO3, "--horizon", "16", "--x", "random",
       "--y", "zero", "--block", "2"], "random point generator needs a seed"),
+    (["detect", "delta", "--spec", ODDS, "--depth", "3", "--bound", "30000",
+      "--budget", "0"], "budget must be positive"),
+    (["detect", "delta", "--spec", ODDS, "--depth", "3", "--bound", "30000",
+      "--budget", "-3"], "budget must be positive"),
 ])
 def test_bad_option_values_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -355,8 +329,8 @@ def test_pset_density_files(capsys, tmp_path):
     assert names == ["banach.csv", "density.json", "density.svg",
                      "manifest.json", "prefix.csv"]
     manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert sorted(manifest) == ["parameters", "spec_digests", "tool"]
     assert manifest["tool"]["name"] == "spacelab"
-    assert "timestamp" in manifest
     assert manifest["parameters"]["horizon"] == 16
     assert len(manifest["spec_digests"]["spec"]) == 64
     assert json.loads(out)["prefix_final"] == "11/16"
@@ -525,32 +499,6 @@ def test_exp_run_rejects_unknown_id(capsys):
     code, _, err = run_cli(capsys, "exp", "run", "unknown-exp")
     assert code == 2
     assert json.loads(err)["error"]["type"] == "usage"
-
-
-def test_corpus_run_all_and_determinism(capsys, tmp_path):
-    dir_a = tmp_path / "a"
-    dir_b = tmp_path / "b"
-    for out_dir in (dir_a, dir_b):
-        code, out, _ = run_cli(capsys, "corpus", "run-all",
-                               "--out", str(out_dir))
-        assert code == 0
-        index = json.loads(out)
-        assert all(v == "consistent" for v in index["verdicts"].values())
-        assert len(index["verdicts"]) == 9
-    names_a = sorted(p.name for p in dir_a.iterdir())
-    names_b = sorted(p.name for p in dir_b.iterdir())
-    assert names_a == names_b
-    for name in names_a:
-        text_a = (dir_a / name).read_text()
-        text_b = (dir_b / name).read_text()
-        if name == "manifest.json":
-            obj_a = json.loads(text_a)
-            obj_b = json.loads(text_b)
-            obj_a.pop("timestamp")
-            obj_b.pop("timestamp")
-            assert obj_a == obj_b
-        else:
-            assert text_a == text_b
 
 
 def test_console_script_installed():

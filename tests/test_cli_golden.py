@@ -1,16 +1,15 @@
 """Byte-identity gate for the command line.
 
 Each case runs one small invocation in-process and pins the sha256 of
-stdout, of stderr and of every file written under ``--out``.  The
-manifest is hashed with its timestamp line removed, since that field is
-the only one allowed to vary between runs.  ``corpus run-all`` is
-pinned the same way; ``test_cli`` checks its determinism directly.
+stdout, of stderr and of every file written under ``--out``, the
+manifest included: every byte is a function of the command line, so
+nothing is stripped before hashing.  ``corpus run-all`` is pinned the
+same way; ``test_acceptance`` checks its determinism directly.
 """
 
 import hashlib
 import io
 import os
-import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -99,8 +98,6 @@ CASES = {
     "corpus.run-all": ["corpus", "run-all", "--out", OUT],
 }
 
-_TIMESTAMP = re.compile(rb'\n  "timestamp": "[^"]*",')
-
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -116,10 +113,7 @@ def run_case(argv, out_dir):
     if os.path.isdir(out_dir):
         for name in sorted(os.listdir(out_dir)):
             with open(os.path.join(out_dir, name), "rb") as fh:
-                data = fh.read()
-            if name == "manifest.json":
-                data = _TIMESTAMP.sub(b"", data)
-            files[name] = _sha(data)
+                files[name] = _sha(fh.read())
     return (code, _sha(stdout.getvalue().encode()),
             _sha(stderr.getvalue().encode()), files)
 
@@ -273,7 +267,6 @@ EXPECTED = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_bytes_pinned(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("SPACELAB_BUDGET", raising=False)
+def test_cli_bytes_pinned(name, tmp_path):
     got = run_case(CASES[name], str(tmp_path / "out"))
     assert got == EXPECTED[name]

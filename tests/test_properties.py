@@ -390,6 +390,41 @@ def test_generator_searches_match_reference(case, depth, pairwise, data):
         assert witness.verified
 
 
+def ref_ip_check(gens, ps, horizon):
+    """The IP re-check on a set: each distinct sum in increasing order is
+    refused outside [1..H], else looked up in P; (answer, error text)."""
+    sums = sorted({sum(combo) for r in range(1, len(gens) + 1)
+                   for combo in itertools.combinations(gens, r)})
+    assert finite_sums(gens) == sums
+    for s in sums:
+        if not 1 <= s <= horizon:
+            return None, (f"membership query {s} outside horizon "
+                          f"[1..{horizon}]")
+        if s not in ps:
+            return False, None
+    return True, None
+
+
+@given(case=small_sets(), data=st.data())
+@SETTINGS
+def test_ip_witness_check_matches_reference(case, data):
+    # repeats, any order, nonpositive entries and sums on both sides of H
+    view, ps = case
+    H = view.horizon
+    gens = tuple(data.draw(st.lists(st.integers(min_value=-1,
+                                                max_value=H + 1),
+                                    max_size=5)))
+    witness = StructureWitness(kind="ip_generator", payload=gens,
+                               verified=False)
+    expected, message = ref_ip_check(gens, ps, H)
+    if message is not None:
+        with pytest.raises(ValidationError) as err:
+            verify_witness(witness, view)
+        assert str(err.value) == message
+    else:
+        assert verify_witness(witness, view) is expected
+
+
 @given(case=small_sets())
 @SETTINGS
 def test_table_matches_set_semantics(case):
