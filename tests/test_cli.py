@@ -69,6 +69,18 @@ def test_detect_verify_flag(capsys):
     assert tail == "verified"
 
 
+def test_detect_ip_full_shift_verifies(capsys):
+    # the 500 generators 1..500 have 2^500 subsets and sums up to the
+    # bound 125,250 = H; the re-check tests them in one mask inclusion
+    code, out, err = run_cli(capsys, "detect", "ip", "--spec",
+                             '{"type":"multiples","k":1}', "--depth", "500",
+                             "--bound", "125250", "--verify")
+    assert (code, err) == (0, "")
+    body, tail = out.rstrip("\n").rsplit("\n", 1)
+    assert json.loads(body)["A"] == list(range(1, 501))
+    assert tail == "verified"
+
+
 def test_detect_none_result(capsys):
     code, out, _ = run_cli(capsys, "detect", "ip", "--spec",
                            '{"type":"explicit","elems":[3]}',
@@ -163,6 +175,18 @@ def test_squares_horizon_past_maxsize_exits_2(size):
          SQUARES, *size], capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert json.loads(proc.stderr)["error"] == TOO_LONG
+
+
+@pytest.mark.parametrize("value", ["1", "abc"])
+def test_budget_ignores_environment(capsys, monkeypatch, value):
+    # the budget comes from --budget or the default alone, so a variable
+    # that once set it changes no byte of the run
+    argv = ("detect", "delta", "--spec", SQUARES, "--depth", "3",
+            "--bound", "100")
+    expected = run_cli(capsys, *argv)
+    monkeypatch.setenv("SPACELAB_BUDGET", value)
+    assert run_cli(capsys, *argv) == expected
+    assert expected[0] == 0
 
 
 def test_validation_exit_code(capsys):

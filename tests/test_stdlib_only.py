@@ -1,5 +1,5 @@
-"""The runtime package imports nothing outside the standard library, and
-not ``dataclasses``."""
+"""The runtime package imports nothing outside the standard library, not
+``dataclasses``, and reads neither the environment nor the clock."""
 
 import ast
 import pathlib
@@ -33,3 +33,16 @@ def test_no_dataclasses_import():
     importing = [path.name for path in sorted(SRC.glob("*.py"))
                  if "dataclasses" in _absolute_imports(path)]
     assert importing == []
+
+
+def test_no_environment_or_clock_reads():
+    # every output byte is a function of argv and the spec files it names
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(path.name, mod) for mod in sorted(
+            _absolute_imports(path) & {"datetime", "time"})]
+        found += [(path.name, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in {"environ", "getenv", "environb"}]
+    assert found == []
