@@ -13,12 +13,13 @@ Searches carry an explicit node budget; running out raises
 
 from __future__ import annotations
 
-from itertools import combinations, pairwise
-from typing import Optional, Sequence, Tuple
+from itertools import combinations, compress, count, pairwise
+from typing import Optional, Sequence
 
 from .errors import (DEFAULT_BUDGET, BudgetError, Record, ValidationError,
                      check_int, replace)
-from .psets import Bohr, FiniteSums, PSetView, _cliques, build_pset, member
+from .psets import (Bohr, FiniteSums, PSetView, _cliques, _flags_from_mask,
+                    build_pset, member)
 
 _PAYLOAD_KEYS = {
     "delta_chain": "S",
@@ -96,28 +97,32 @@ def _differences_in(values: object, view: PSetView) -> bool:
 def verify_witness(witness: StructureWitness, view: PSetView) -> bool:
     """Re-check a certificate by direct membership arithmetic.
 
-    A delta chain, or the sorted finite sums of an IP-IP generator, that
-    is a strictly increasing tuple of integers spanning at most the
-    horizon is tested whole by :meth:`PSetView.admits`; any other payload
-    goes through :func:`member` pair by pair, which raises
-    :class:`ValidationError` on a difference outside [1..H].  An IP
-    generator of integers >= 1 summing to at most H is checked in one
-    step: the mask of its finite sums, built by the shift-or of
-    :class:`~spacelab.psets.FiniteSums`, must lie inside P, the same
-    inclusion test :func:`check_bohr_avoidance` makes.  Any other IP
-    payload asks :func:`member` of each distinct sum in increasing order.
+    A generator of integers >= 1 summing to at most H gets its finite
+    sums as one shift-or mask, as :class:`~spacelab.psets.FiniteSums`
+    builds it: an IP generator's mask must lie inside P, one AND, and an
+    IP-IP generator's sums, listed from the mask, go to
+    :meth:`PSetView.admits`.  Other generators take the sums of
+    :func:`finite_sums`; :func:`member`, which raises
+    :class:`ValidationError` outside [1..H], is asked of each IP sum.  A
+    delta chain, or a list of IP-IP sums, that is a strictly increasing
+    tuple of integers spanning at most H goes to ``admits``, and any
+    other to ``member`` pair by pair.
     """
     kind = witness.kind
     if kind == "delta_chain":
         return _differences_in(witness.payload, view)
-    if kind == "ip_generator":
+    if kind in ("ip_generator", "ip_ip_generator"):
         gens = witness.payload
         if (all(isinstance(g, int) and g >= 1 for g in gens)
                 and sum(gens) <= view.horizon):
-            return not FiniteSums(gens)._bits(view.horizon) & ~view.bits
-        return all(member(view, s) for s in finite_sums(gens))
-    if kind == "ip_ip_generator":
-        return _differences_in(tuple(finite_sums(witness.payload)), view)
+            sums = FiniteSums(gens)._bits(view.horizon)
+            if kind == "ip_generator":
+                return not sums & ~view.bits
+            return view.admits(tuple(compress(
+                count(1), _flags_from_mask(sums, view.horizon))))
+        if kind == "ip_generator":
+            return all(member(view, s) for s in finite_sums(gens))
+        return _differences_in(tuple(finite_sums(gens)), view)
     if kind == "intersective_hit":
         if witness.pair is None:
             return False

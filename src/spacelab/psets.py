@@ -7,20 +7,20 @@ keys once, in ``_wire``, and construction, parsing and serialization
 read them there.  Trees validate with a path to the offending node, and
 materialize over a horizon [1..H] as an integer bitmask (bit n-1 set iff
 n is a member), with a byte table alongside for constant-time lookups.
-Builders mark members in a byte buffer and convert it to the bitmask in
-one O(H) step, because setting one bit of an H-bit int costs O(H / 64);
-multiples fill the buffer with one strided slice and Bohr sets with one
-per lap of a rotation, about 2√H of them.  The squares, √H of them, set
-their bits in a packed buffer of H / 8 bytes, and finite sums grow by
-one shift-or per generator.  A view tests a whole set of positions
-against P in one place, :meth:`PSetView.admits`, and :func:`_cliques`
-walks all such sets in lexicographic order for the delta-chain search
-and the words of the transitivity check.  ``max_ones`` (colour bounds),
-the word counter (a memo), its naive oracle (independent) and
-``scan_point`` (one path) keep their own loops.  Densities are exact
-rationals, built on demand from stored integer prefix counts, and their
-extremes are found among the run boundaries of P by integer
-cross-multiplication.
+Setting one bit of an H-bit int costs O(H / 64), so no builder does:
+:func:`_mask_from` packs a few members (squares, explicit lists,
+differences) into H / 8 bytes read as an int once, multiples repeat one
+period block of lcm(k, 8) bits as bytes, Bohr sets fill a byte per
+position by one strided slice per lap of a rotation, about 2√H of them,
+and convert the flags once, and finite sums grow by one shift-or per
+generator.  A view tests a whole set of positions against P in one
+place, :meth:`PSetView.admits`, and :func:`_cliques` walks all such sets
+in lexicographic order for the delta-chain search and the words of the
+transitivity check.  ``max_ones`` (colour bounds), the word counter (a
+memo), its naive oracle (independent) and ``scan_point`` (one path) keep
+their own loops.  Densities are exact rationals, built on demand from
+stored integer prefix counts, and their extremes are found among the run
+boundaries of P by integer cross-multiplication.
 
 Conventions: N starts at 1.  Word positions elsewhere in the package are
 0-based; the difference of two positions is the 1-based number looked up
@@ -34,8 +34,9 @@ import json
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, combinations, compress, islice
-from math import ceil, floor, isqrt
+from itertools import (accumulate, chain, combinations, compress, islice,
+                       pairwise)
+from math import ceil, floor, isqrt, lcm
 from operator import gt, lt, sub
 from typing import Optional, Sequence
 
@@ -69,22 +70,15 @@ def _tuple(value: object) -> object:
     return tuple(value)
 
 
-_FLAG_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _mask_from_flags(flags: bytearray) -> int:
-    # flags[i] is 1 iff i + 1 is a member; the inverse of PSetView.table,
-    # in O(len(flags)) where OR-ing single bits into an int is quadratic
-    # (base 2 is exempt from the int digit limit)
-    return int(flags.translate(_FLAG_DIGITS)[::-1] or b"0", 2)
-
-
 def _mask_from(values, horizon: int) -> int:
-    flags = bytearray(horizon)
+    # bit v - 1 of an H/8-byte little-endian buffer marks each v in
+    # [1..horizon]; OR-ing bits into an int one by one costs O(H / 64) each
+    packed = bytearray((horizon + 7) // 8)
     for v in values:
         if 1 <= v <= horizon:
-            flags[v - 1] = 1
-    return _mask_from_flags(flags)
+            v -= 1
+            packed[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(packed, "little")
 
 
 class PSetSpec(Record):
@@ -175,9 +169,12 @@ class Multiples(PSetSpec):
             raise SpecError("expected an integer >= 1", _child(path, "k"))
 
     def _bits(self, horizon: int) -> int:
-        flags = bytearray(horizon)
-        flags[self.k - 1::self.k] = b"\1" * (horizon // self.k)
-        return _mask_from_flags(flags)
+        # one period block of lcm(k, 8) bits is whole bytes, repeated
+        # past the horizon (a longer block is cut to the horizon's bytes)
+        period = min(lcm(self.k, 8), (horizon + 7) // 8 * 8)
+        block = _mask_from(range(self.k, period + 1, self.k), period)
+        return int.from_bytes(block.to_bytes(period // 8, "little")
+                              * -(-horizon // period), "little")
 
 
 class Squares(PSetSpec):
@@ -186,13 +183,8 @@ class Squares(PSetSpec):
     kind = "squares"
 
     def _bits(self, horizon: int) -> int:
-        # bit n - 1 of the little-endian buffer marks the square n; the
-        # squares are too few to pay for a byte per position
-        packed = bytearray((horizon + 7) // 8)
-        for r in range(1, isqrt(horizon) + 1):
-            n = r * r - 1
-            packed[n >> 3] |= 1 << (n & 7)
-        return int.from_bytes(packed, "little")
+        return _mask_from((r * r for r in range(1, isqrt(horizon) + 1)),
+                          horizon)
 
 
 class FiniteSums(_IncreasingList):
@@ -319,7 +311,8 @@ class Bohr(PSetSpec):
                 if a <= b:
                     flags[j - 1 + a * step:j + b * step:step] = \
                         b"\1" * (b - a + 1)
-        return _mask_from_flags(flags)
+        # flag i is 1 iff i + 1 is a member; base 2 has no int digit limit
+        return int(flags.translate(bytes.maketrans(b"\0\1", b"01"))[::-1], 2)
 
 
 class Complement(PSetSpec):
@@ -448,7 +441,7 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 def _flags_from_mask(mask: int, length: int) -> bytes:
     # byte i is 1 iff bit i of mask is set, for i < length; the inverse
-    # of _mask_from_flags, in O(length)
+    # of the flag conversion that ends Bohr._bits, in O(length)
     digits = format(mask, f"0{length}b")[:-length - 1:-1]
     return digits.encode("ascii").translate(_BIT_BYTES)
 
@@ -459,8 +452,9 @@ class PSetView(Record):
     ``bits`` has bit n-1 set iff n is a member.  Views are immutable and
     a pure function of (spec, horizon); sharing them across workers is
     safe.  Single numbers are looked up in :attr:`table`, a whole set of
-    positions is tested with :meth:`admits`, and searches over positions
-    keep candidate masks built with :meth:`after`.
+    positions is tested with :meth:`admits`, which walks a legal mask
+    from position to position, and searches over positions keep
+    candidate masks built with :meth:`after`.
     """
 
     horizon: int
@@ -491,18 +485,19 @@ class PSetView(Record):
     def admits(self, positions: Sequence[int]) -> bool:
         """Whether q - p is in P for every two of the increasing
         `positions` p < q, a difference past the horizon counting as
-        outside P; one shift-and-mask of O(span / 64) words a position.
+        outside P; walked as :func:`~spacelab.language.scan_point` walks,
+        one shift-and-mask of O(span / 64) words and one bit test a step.
         """
-        if not positions:
-            return True
-        lo = positions[0]
-        span = positions[-1] - lo
-        # bit i of mask is set iff lo + i is a position, so bit d - 1 of
-        # mask >> (p - lo + 1) is set iff p + d is one; bit d - 1 of
-        # outside is set iff d in [1..span] is not in P
-        mask = _mask_from((p - lo + 1 for p in positions), span + 1)
-        outside = ~self.bits & ((1 << span) - 1)
-        return not any(mask >> (p - lo + 1) & outside for p in positions)
+        # bit i of legal: the position i past the last one is legal so far
+        # (bit 0, the last one, is not); P cut at the span keeps shifts O(span)
+        span = positions[-1] - positions[0] if positions else 0
+        legal = bits = (self.bits & ((1 << span) - 1)) << 1
+        for last, p in pairwise(positions):
+            legal >>= p - last
+            if not legal & 1:
+                return False
+            legal &= bits
+        return True
 
 
 def _cliques(view: PSetView, n: int, root: Sequence[int] = ()):

@@ -284,6 +284,15 @@ def test_verify_ip_generator_at_the_horizon():
     assert str(err.value) == "membership query 5051 outside horizon [1..5050]"
 
 
+def test_verify_ip_ip_generator_reads_the_sum_at_the_horizon():
+    # the sums of (2, 3) are 2, 3 and 5 = H; only the differences from 5
+    # to the others, 3 and 2, are not both in P = {1, 3}
+    witness = StructureWitness(kind="ip_ip_generator", payload=(2, 3),
+                               verified=False)
+    assert not verify_witness(witness, build_pset(Explicit((1, 3)), 5))
+    assert verify_witness(witness, build_pset(Explicit((1, 2, 3)), 5))
+
+
 def test_syndetic_gap():
     view = build_pset(Squares(), 100)
     report = syndetic_gap(view)

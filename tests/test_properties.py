@@ -393,16 +393,33 @@ def test_generator_searches_match_reference(case, depth, pairwise, data):
 def ref_ip_check(gens, ps, horizon):
     """The IP re-check on a set: each distinct sum in increasing order is
     refused outside [1..H], else looked up in P; (answer, error text)."""
-    sums = sorted({sum(combo) for r in range(1, len(gens) + 1)
-                   for combo in itertools.combinations(gens, r)})
-    assert finite_sums(gens) == sums
-    for s in sums:
+    for s in ref_sums(gens):
         if not 1 <= s <= horizon:
             return None, (f"membership query {s} outside horizon "
                           f"[1..{horizon}]")
         if s not in ps:
             return False, None
     return True, None
+
+
+def ref_ip_ip_check(gens, ps, horizon):
+    """The IP-IP re-check on a set: the difference of each two distinct
+    sums, pairs in lexicographic order, is refused past H, else looked
+    up in P; (answer, error text)."""
+    for a, b in itertools.combinations(ref_sums(gens), 2):
+        if b - a > horizon:
+            return None, (f"membership query {b - a} outside horizon "
+                          f"[1..{horizon}]")
+        if b - a not in ps:
+            return False, None
+    return True, None
+
+
+def ref_sums(gens):
+    sums = sorted({sum(combo) for r in range(1, len(gens) + 1)
+                   for combo in itertools.combinations(gens, r)})
+    assert finite_sums(gens) == sums
+    return sums
 
 
 @given(case=small_sets(), data=st.data())
@@ -414,9 +431,10 @@ def test_ip_witness_check_matches_reference(case, data):
     gens = tuple(data.draw(st.lists(st.integers(min_value=-1,
                                                 max_value=H + 1),
                                     max_size=5)))
-    witness = StructureWitness(kind="ip_generator", payload=gens,
-                               verified=False)
-    expected, message = ref_ip_check(gens, ps, H)
+    kind = data.draw(st.sampled_from(["ip_generator", "ip_ip_generator"]))
+    witness = StructureWitness(kind=kind, payload=gens, verified=False)
+    check = ref_ip_check if kind == "ip_generator" else ref_ip_ip_check
+    expected, message = check(gens, ps, H)
     if message is not None:
         with pytest.raises(ValidationError) as err:
             verify_witness(witness, view)

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
+from math import isqrt, lcm
 
 import pytest
 
@@ -61,13 +63,30 @@ def test_squares():
     assert elements(view) == [1, 4, 9, 16, 25]
 
 
-@pytest.mark.parametrize("horizon", [1, 3, 4, 7, 8, 9, 15, 16, 17, 63, 64,
-                                     65, 1000, 4096])
-def test_squares_at_byte_edges(horizon):
-    # the squares are packed 8 to a byte; the last byte may be partial
-    view = build_pset(Squares(), horizon)
-    squares = [r * r for r in range(1, horizon + 1) if r * r <= horizon]
-    assert elements(view) == squares
+EDGE_ELEMS = (1, 7, 8, 9, 16, 17, 63, 64, 65, 1000, 4097, 10 ** 9)
+EDGE_DIFFS = {b - a for a, b in combinations(EDGE_ELEMS, 2)}
+# (spec, horizon, membership of n by its definition): the squares and the
+# lists are packed 8 to a byte, the last byte may be partial, and
+# Multiples(k) repeats a block of lcm(k, 8) bits, cut at the horizon
+BIT_EDGES = (
+    [(Squares(), H, lambda n: isqrt(n) ** 2 == n)
+     for H in (1, 3, 4, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1000, 4096)]
+    + [(Multiples(k), H, lambda n, k=k: n % k == 0)
+       for k in (1, 3, 7, 8, 9, 24)
+       for H in (lcm(k, 8) - 1, lcm(k, 8), lcm(k, 8) + 1, 1000, 4096)]
+    + [(spec, H, member_of)
+       for spec, member_of in ((Explicit(EDGE_ELEMS), EDGE_ELEMS.__contains__),
+                               (DeltaOf(EDGE_ELEMS), EDGE_DIFFS.__contains__),
+                               (DiffSet(EDGE_ELEMS), EDGE_DIFFS.__contains__))
+       for H in (8, 9, 16, 17, 64, 65, 999, 1000, 4096)])
+
+
+@pytest.mark.parametrize(
+    "spec, horizon, member_of", BIT_EDGES,
+    ids=[f"{spec.kind}{getattr(spec, 'k', '')}-{H}" for spec, H, _ in BIT_EDGES])
+def test_bits_at_byte_and_period_edges(spec, horizon, member_of):
+    view = build_pset(spec, horizon)
+    assert elements(view) == [n for n in range(1, horizon + 1) if member_of(n)]
     assert view.bits < 1 << horizon
 
 
