@@ -13,13 +13,12 @@ Searches carry an explicit node budget; running out raises
 
 from __future__ import annotations
 
-from itertools import combinations, compress, count, pairwise
+from itertools import combinations, pairwise
 from typing import Optional, Sequence
 
 from .errors import (DEFAULT_BUDGET, BudgetError, Record, ValidationError,
                      check_int, replace)
-from .psets import (Bohr, FiniteSums, PSetView, _cliques, _flags_from_mask,
-                    build_pset, member)
+from .psets import Bohr, FiniteSums, PSetView, _cliques, build_pset, member
 
 _PAYLOAD_KEYS = {
     "delta_chain": "S",
@@ -97,16 +96,20 @@ def _differences_in(values: object, view: PSetView) -> bool:
 def verify_witness(witness: StructureWitness, view: PSetView) -> bool:
     """Re-check a certificate by direct membership arithmetic.
 
-    A generator of integers >= 1 summing to at most H gets its finite
-    sums as one shift-or mask, as :class:`~spacelab.psets.FiniteSums`
-    builds it: an IP generator's mask must lie inside P, one AND, and an
-    IP-IP generator's sums, listed from the mask, go to
-    :meth:`PSetView.admits`.  Other generators take the sums of
-    :func:`finite_sums`; :func:`member`, which raises
-    :class:`ValidationError` outside [1..H], is asked of each IP sum.  A
-    delta chain, or a list of IP-IP sums, that is a strictly increasing
-    tuple of integers spanning at most H goes to ``admits``, and any
-    other to ``member`` pair by pair.
+    A generator a_1..a_k of integers >= 1 with sum S <= H is checked by
+    one mask inside P.  For IP it holds the finite sums, one shift-or per
+    a_i as :class:`~spacelab.psets.FiniteSums` builds them.  For IP-IP it
+    holds the positive differences u - v of finite sums, which are the
+    positive signed sums d = Σ e_i a_i (e_i in {-1, 0, 1}) but S: u - v
+    has e = 1 on U - V and -1 on V - U, and is S only if V is empty;
+    conversely, U = {e = 1} and V = {e = -1} give d if some e_i = -1,
+    and else some e_j = 0 (as d < S), and V = {j}, U = {e = 1} + {j} do.
+
+    Other generators take the sums of :func:`finite_sums`; :func:`member`,
+    which raises :class:`ValidationError` outside [1..H], is asked of
+    each IP sum.  A delta chain, or IP-IP sums, forming a strictly
+    increasing tuple of integers spanning at most H go to
+    :meth:`PSetView.admits`, any other to ``member`` pair by pair.
     """
     kind = witness.kind
     if kind == "delta_chain":
@@ -114,12 +117,15 @@ def verify_witness(witness: StructureWitness, view: PSetView) -> bool:
     if kind in ("ip_generator", "ip_ip_generator"):
         gens = witness.payload
         if (all(isinstance(g, int) and g >= 1 for g in gens)
-                and sum(gens) <= view.horizon):
-            sums = FiniteSums(gens)._bits(view.horizon)
+                and (total := sum(gens)) <= view.horizon):
             if kind == "ip_generator":
-                return not sums & ~view.bits
-            return view.admits(tuple(compress(
-                count(1), _flags_from_mask(sums, view.horizon))))
+                return not FiniteSums(gens)._bits(view.horizon) & ~view.bits
+            signed = 1 << total
+            for g in gens:
+                signed |= signed << g | signed >> g
+            # bit S + d of signed marks d; bit d - 1 of diffs, for 0 < d < S
+            diffs = signed >> (total + 1) & ((1 << total) - 1) >> 1
+            return not diffs & ~view.bits
         if kind == "ip_generator":
             return all(member(view, s) for s in finite_sums(gens))
         return _differences_in(tuple(finite_sums(gens)), view)

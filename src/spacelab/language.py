@@ -234,7 +234,9 @@ def max_ones(view: PSetView, n: int,
     vertices in increasing order, so the first maximum clique it reaches
     is the lexicographic minimum.
 
-    A frame holds the candidates that extend its clique.  They are
+    A frame holds the candidates that extend its clique, bit i being the
+    vertex i + 1 past its last one, so a child's are its parent's shifted
+    past the new vertex and ANDed with P cut to n - 1 bits.  They are
     coloured greedily from the highest vertex down, one class at a time;
     the head of a class is its top vertex, and the heads strictly
     decrease.  The candidates >= v lie in the classes whose head is >= v,
@@ -249,9 +251,9 @@ def max_ones(view: PSetView, n: int,
     nor what a node is.  Each clique extended is one node and the root
     {0} is node 1; exhausting ``budget`` raises :class:`BudgetError`
     with ``nodes == budget + 1``.  Before the first node it builds
-    ``rows``, ``one`` and ``drop``, n masks each of up to n bits, which
-    the budget does not cap: memory grows as n², to a tracemalloc peak
-    near 6 MB at n = 4000 on co_multiples_2.
+    ``one`` and ``drop``, n masks each of up to n bits, which the budget
+    does not cap: memory grows as n², to a tracemalloc peak of 3.65 MB
+    at n = 4000 on co_multiples_2.
     """
     check_int(n, "window length must be a non-negative integer", 0)
     check_int(budget, "budget must be an integer")
@@ -262,18 +264,16 @@ def max_ones(view: PSetView, n: int,
     if budget < 1:
         raise BudgetError("max-ones budget exhausted", 1)
 
-    # rows[v] = positions j > v with j - v in P, as a bitmask
-    full = (1 << n) - 1
-    rows = [view.after(v) & full for v in range(n)]
-    # drop[h] clears h and its neighbours below it from a colour class
+    # classes do not change under translation, so drop[h] clears h and
+    # its lower neighbours from a class in any frame's relative mask
+    bits = view.bits & ((1 << (n - 1)) - 1)
     one = [1 << h for h in range(n)]
     drop = [~(low | bit) for low, bit in zip(_lower_rows(view.bits, n), one)]
     best_size, best_ones, nodes = 1, (0,), 1
     # frame i extends chosen[:i + 1]: its candidates not yet tried, those
     # not yet coloured and the heads of the classes coloured so far
     chosen = [0]
-    untried = [rows[0]]
-    uncoloured = [rows[0]]
+    untried, uncoloured = [bits], [bits]
     heads = [[]]
     while untried:
         rest = untried[-1]
@@ -301,13 +301,13 @@ def max_ones(view: PSetView, n: int,
             chosen.pop()
             continue
         untried[-1] = rest ^ low
-        sub = rest & rows[v]
+        sub = rest >> (v + 1) & bits
         if sub.bit_count() < need - 1:
             continue
         nodes += 1
         if nodes > budget:
             raise BudgetError("max-ones budget exhausted", nodes)
-        chosen.append(v)
+        chosen.append(chosen[-1] + v + 1)
         if need == 1:
             best_size += 1
             best_ones = tuple(chosen)
@@ -430,13 +430,6 @@ def find_join_gap(view: PSetView, u: Configuration, v: Configuration,
     return (legal & -legal).bit_length() - 1 if legal else None
 
 
-def _admissible_words_up_to(view: PSetView, max_len: int) -> list:
-    # the walk's pre-order is the (length, ones) order
-    return [Configuration(length, tuple(ones))
-            for length in range(1, max_len + 1)
-            for ones in _cliques(view, length)]
-
-
 class TransitiveGapReport(Record):
     """Joinability of admissible word pairs by zero-gaps.
 
@@ -466,7 +459,10 @@ def transitive_gap_check(view: PSetView, word_len_cap: int,
     if 2 * word_len_cap + gap_cap > view.horizon:
         raise ValidationError(
             "need 2 * word_len_cap + gap_cap <= horizon")
-    words = _admissible_words_up_to(view, word_len_cap)
+    # the walk's pre-order is the (length, ones) order
+    words = [Configuration(length, tuple(ones))
+             for length in range(1, word_len_cap + 1)
+             for ones in _cliques(view, length)]
     failing = [(u, v) for u in words for v in words
                if find_join_gap(view, u, v, gap_cap) is None]
     total = len(words) ** 2

@@ -16,7 +16,9 @@ and convert the flags once, and finite sums grow by one shift-or per
 generator.  A view tests a whole set of positions against P in one
 place, :meth:`PSetView.admits`, and :func:`_cliques` walks all such sets
 in lexicographic order for the delta-chain search and the words of the
-transitivity check.  ``max_ones`` (colour bounds), the word counter (a
+transitivity check; both, like ``max_ones`` and ``scan_point``, keep
+masks relative to the last position chosen, bit i being the position
+i + 1 past it.  ``max_ones`` (colour bounds), the word counter (a
 memo), its naive oracle (independent) and ``scan_point`` (one path) keep
 their own loops.  Densities are exact rationals, built on demand from
 stored integer prefix counts, and their extremes are found among the run
@@ -451,10 +453,11 @@ class PSetView(Record):
 
     ``bits`` has bit n-1 set iff n is a member.  Views are immutable and
     a pure function of (spec, horizon); sharing them across workers is
-    safe.  Single numbers are looked up in :attr:`table`, a whole set of
-    positions is tested with :meth:`admits`, which walks a legal mask
-    from position to position, and searches over positions keep
-    candidate masks built with :meth:`after`.
+    safe.  Single numbers are looked up in :attr:`table`, and a whole
+    set of positions is tested with :meth:`admits`, which walks a legal
+    mask from position to position.  Searches over positions read
+    ``bits`` cut to their span and keep their own masks relative to the
+    last position chosen.
     """
 
     horizon: int
@@ -471,16 +474,6 @@ class PSetView(Record):
         O(horizon / 64).
         """
         return _flags_from_mask(self.bits << 1, self.horizon + 1)
-
-    def after(self, p: int) -> int:
-        """Candidate mask once position p is chosen: bit q is set iff
-        q - p is in P (so only q > p).
-
-        A search keeps ``allowed &= view.after(p)`` for each chosen p;
-        the set bits of ``allowed`` are then exactly the positions legal
-        against every choice so far.
-        """
-        return self.bits << (p + 1)
 
     def admits(self, positions: Sequence[int]) -> bool:
         """Whether q - p is in P for every two of the increasing
@@ -506,10 +499,14 @@ def _cliques(view: PSetView, n: int, root: Sequence[int] = ()):
     lexicographic (depth-first pre-)order, `root` first.  One list is
     yielded, grown and shrunk in place: callers copy what they keep.
     """
+    # masks are relative to the last position chosen, as in admits; a
+    # child's are its parent's shifted past it, ANDed with P cut to n - 1
+    bits = view.bits & ((1 << n) - 1) >> 1
     clique = list(root)
-    allowed = (1 << n) - 1
+    last = clique[-1] if clique else -1
+    allowed = (1 << (n - 1 - last)) - 1
     for p in root:
-        allowed &= view.after(p)
+        allowed &= bits >> (last - p)
     # masks[i] holds the untried candidates extending clique[:len(root) + i]
     masks = [allowed]
     yield clique
@@ -517,9 +514,9 @@ def _cliques(view: PSetView, n: int, root: Sequence[int] = ()):
         allowed = masks.pop()
         if allowed:
             low = allowed & -allowed
-            p = low.bit_length() - 1
-            masks += allowed ^ low, allowed & view.after(p)
-            clique.append(p)
+            step = low.bit_length()
+            masks += allowed ^ low, allowed >> step & bits
+            clique.append((clique[-1] if clique else -1) + step)
             yield clique
         elif masks:
             clique.pop()

@@ -12,6 +12,7 @@ from spacelab import (
     find_ip_ip_generator,
     finite_sums,
     intersective_refute,
+    load_member,
     syndetic_gap,
     thick_run,
     verify_witness,
@@ -80,6 +81,26 @@ def test_delta_chain_budget():
 def test_delta_chain_rooted_search_answers_none(spec, depth, bound, budget):
     view = build_pset(spec, bound)
     assert find_delta_chain(view, depth, bound, budget=budget) is None
+
+
+@pytest.mark.parametrize("member, depth, bound, nodes, payload", [
+    ("co_squares", 12, 64, 12,
+     (1, 3, 6, 8, 11, 13, 16, 18, 21, 23, 35, 40)),
+    ("bohr_golden_quarter", 6, 2000, 9, (1, 3, 92, 181, 414, 647)),
+    ("squares", 4, 30000, 382, None),
+])
+def test_delta_chain_budget_boundary_frozen(member, depth, bound, nodes,
+                                            payload):
+    # the least budget at which the rooted walk answers, taken before its
+    # masks were kept relative to the last position; one fewer is
+    # "don't know", reported at budget + 1 nodes
+    view = build_pset(load_member(member), bound)
+    witness = find_delta_chain(view, depth, bound, budget=nodes)
+    assert (witness and witness.payload) == payload
+    assert witness is None or witness.verified
+    with pytest.raises(BudgetError) as exc:
+        find_delta_chain(view, depth, bound, budget=nodes - 1)
+    assert exc.value.nodes == nodes
 
 
 def test_delta_chain_deeper_than_the_stack():
@@ -291,6 +312,14 @@ def test_verify_ip_ip_generator_reads_the_sum_at_the_horizon():
                                verified=False)
     assert not verify_witness(witness, build_pset(Explicit((1, 3)), 5))
     assert verify_witness(witness, build_pset(Explicit((1, 2, 3)), 5))
+
+
+def test_verify_ip_ip_generator_excludes_the_full_sum():
+    # the sums of (1, 2) are 1, 2 and 3 = H; 3 is a signed sum but no
+    # difference of two sums, so P = {1, 2} admits the generator
+    witness = StructureWitness(kind="ip_ip_generator", payload=(1, 2),
+                               verified=False)
+    assert verify_witness(witness, build_pset(Explicit((1, 2)), 3))
 
 
 def test_syndetic_gap():

@@ -209,6 +209,22 @@ def test_max_ones_budget_boundary_frozen():
     assert max_ones(view, 48, budget=376)[0] == 14
 
 
+@pytest.mark.parametrize("member, n, omega, nodes", [
+    ("co_squares", 64, 16, 13_106),
+    ("bohr_golden_quarter", 256, 11, 54),
+    ("union_m3_p15", 128, 43, 45),
+])
+def test_max_ones_node_counts_frozen(member, n, omega, nodes):
+    # the least budget at which the search answers, taken before its
+    # masks were kept relative to the last vertex; one fewer is "don't
+    # know", reported at budget + 1 nodes
+    view = build_pset(load_member(member), n)
+    assert max_ones(view, n, budget=nodes)[0] == omega
+    with pytest.raises(BudgetError) as err:
+        max_ones(view, n, budget=nodes - 1)
+    assert err.value.nodes == nodes
+
+
 def test_max_ones_matches_brute(co2_view, squares_view):
     from spacelab import elements
     for view in (co2_view, squares_view):
