@@ -8,7 +8,7 @@ whenever a member is added or changed.
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 
 from .errors import ValidationError
 from .psets import PSetSpec, parse_spec
@@ -35,11 +35,13 @@ MEMBERS = (
 
 
 def member_text(name: str) -> str:
-    """Raw JSON text of one corpus member."""
+    """Raw JSON text of one corpus member, read from ``corpus/`` beside
+    this module (the package installs as plain files)."""
     if name not in MEMBERS:
         raise ValidationError(f"unknown corpus member {name!r}")
-    path = resources.files(__package__) / "corpus" / f"{name}.json"
-    return path.read_text(encoding="ascii")
+    path = os.path.join(os.path.dirname(__file__), "corpus", f"{name}.json")
+    with open(path, encoding="ascii") as file:
+        return file.read()
 
 
 def load_member(name: str) -> PSetSpec:

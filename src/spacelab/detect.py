@@ -13,8 +13,8 @@ Searches carry an explicit node budget; running out raises
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import combinations, pairwise
-from typing import Optional, Sequence
 
 from .errors import (DEFAULT_BUDGET, BudgetError, Record, ValidationError,
                      check_int, replace)
@@ -40,9 +40,9 @@ class StructureWitness(Record):
     kind: str
     payload: object
     verified: bool
-    depth: Optional[int] = None
-    bound: Optional[int] = None
-    pair: Optional[tuple] = None
+    depth: int | None = None
+    bound: int | None = None
+    pair: tuple | None = None
 
     def to_json(self) -> dict:
         key = _PAYLOAD_KEYS[self.kind]
@@ -144,7 +144,7 @@ def _certified(view: PSetView, **fields) -> StructureWitness:
 
 
 def find_delta_chain(view: PSetView, depth: int, search_bound: int,
-                     budget: int = DEFAULT_BUDGET) -> Optional[StructureWitness]:
+                     budget: int = DEFAULT_BUDGET) -> StructureWitness | None:
     """Lexicographically least s_1 < ... < s_depth with all differences in P.
 
     Returns None when no chain of this depth fits inside the bound; that
@@ -180,7 +180,7 @@ def _check_bound(view: PSetView, search_bound: int) -> None:
 
 
 def _find_generator(view: PSetView, depth: int, search_bound: int,
-                    budget: int, kind: str) -> Optional[StructureWitness]:
+                    budget: int, kind: str) -> StructureWitness | None:
     # lexicographic DFS over increasing tuples with sum <= bound on a stack
     # of mask frames (value v is bit W + v): with F = FS(chosen) and
     # G = F + {0}, a frame holds pos = G, and for IP-IP also neg = -G and
@@ -233,7 +233,7 @@ def _find_generator(view: PSetView, depth: int, search_bound: int,
 
 
 def find_ip_generator(view: PSetView, depth: int, search_bound: int,
-                      budget: int = DEFAULT_BUDGET) -> Optional[StructureWitness]:
+                      budget: int = DEFAULT_BUDGET) -> StructureWitness | None:
     """Least a_1 < ... < a_depth with every nonempty subset sum in P.
 
     The bound caps max(FS(A)) = sum(A); every intermediate sum is then
@@ -251,7 +251,7 @@ def find_ip_generator(view: PSetView, depth: int, search_bound: int,
 
 
 def find_ip_ip_generator(view: PSetView, depth: int, search_bound: int,
-                         budget: int = DEFAULT_BUDGET) -> Optional[StructureWitness]:
+                         budget: int = DEFAULT_BUDGET) -> StructureWitness | None:
     """Least A with every difference of finite sums u - v > 0 in P.
 
     The sums themselves need not be members, only their differences; a
@@ -280,7 +280,7 @@ class SyndeticGapReport(Record):
     censored_tail: int
 
 
-def syndetic_gap(view: PSetView) -> Optional[SyndeticGapReport]:
+def syndetic_gap(view: PSetView) -> SyndeticGapReport | None:
     """Gap profile of the members, or None when A is empty on [1..H]."""
     if not view.bits:
         return None
@@ -301,7 +301,7 @@ def thick_run(view: PSetView) -> int:
 
 
 def intersective_refute(e_view: PSetView,
-                        a_view: PSetView) -> Optional[StructureWitness]:
+                        a_view: PSetView) -> StructureWitness | None:
     """Least e in E intersect (A - A) within the horizon, or None.
 
     A None is refutation evidence that A - A avoids E up to H.  Hits are
@@ -346,7 +346,7 @@ class BohrAvoidanceReport(Record):
     interval: tuple
     bohr_size: int
     in_p: int
-    least_missing: Optional[int]
+    least_missing: int | None
     contained: bool
 
 

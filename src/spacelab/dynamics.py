@@ -13,8 +13,8 @@ as O(log l) doubling shifts, so all are exact.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .errors import DEFAULT_BUDGET, Record, ValidationError, check_int
 from .language import (Configuration, greedy_point, is_admissible, max_ones,
@@ -104,7 +104,7 @@ def named_points(view: PSetView, horizon: int, maxones_n: int = 8,
 
 
 def cylinder_distance_exponent(x: Configuration,
-                               y: Configuration) -> Optional[int]:
+                               y: Configuration) -> int | None:
     """min{i : x_i != y_i}, or None when equal on the whole window.
 
     The metric value is 2^-exponent; None is the infinity marker (the
@@ -163,7 +163,7 @@ def f_statistic(x: OrbitPoint, y: OrbitPoint, l: int,
                        tail_min=min(v for _, v in tail))
 
 
-def proximal_probe(x: OrbitPoint, y: OrbitPoint, block: int) -> Optional[int]:
+def proximal_probe(x: OrbitPoint, y: OrbitPoint, block: int) -> int | None:
     """Least m with x, y agreeing on [m, m+block), or None in horizon.
 
     Repeated hits at growing block lengths are the finite evidence that
@@ -187,8 +187,8 @@ class PeriodicCheckResult(Record):
     within the horizon that is missing from P.
     """
 
-    point: Optional[OrbitPoint]
-    failing_multiple: Optional[int]
+    point: OrbitPoint | None
+    failing_multiple: int | None
 
 
 def periodic_point_check(view: PSetView, k: int,

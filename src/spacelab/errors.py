@@ -20,7 +20,6 @@ that reads its fields from class annotations and generates no code.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Optional
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -33,8 +32,8 @@ class ValidationError(SpacelabError):
     """A parameter or precondition check failed."""
 
 
-def check_int(value: object, message: str, lo: Optional[int] = None,
-              hi: Optional[int] = None) -> None:
+def check_int(value: object, message: str, lo: int | None = None,
+              hi: int | None = None) -> None:
     """Raise ValidationError(message) unless `value` is an int, not a
     bool, inside [lo..hi]; an end left as None is open."""
     if (not isinstance(value, int) or isinstance(value, bool)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from . import corpus
 from .detect import (check_bohr_avoidance, find_delta_chain,
@@ -81,7 +80,7 @@ def _conforms(value: object, default: object) -> bool:
         _conforms(v, default[0]) for v in value)
 
 
-def _merge(defaults: dict, overrides: Optional[dict]) -> dict:
+def _merge(defaults: dict, overrides: dict | None) -> dict:
     params = dict(defaults)
     if overrides:
         unknown = sorted(set(overrides) - set(defaults))
@@ -482,7 +481,7 @@ _EXPERIMENTS = {
 EXPERIMENT_IDS = tuple(sorted(_EXPERIMENTS))
 
 
-def run_experiment(exp_id: str, overrides: Optional[dict] = None,
+def run_experiment(exp_id: str, overrides: dict | None = None,
                    budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     """Run one named experiment and return its report.
 

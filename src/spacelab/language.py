@@ -15,15 +15,15 @@ straight to its parent's frame.  Tests require the two to agree
 exactly.  The max-ones search is a branch-and-bound over cliques
 containing 0 that bounds each candidate by greedy colour classes.  The
 counter's mirror step and the colouring both read each vertex's lower
-neighbours from one shared table.
+neighbours from one reversed mask of P.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
 
 from .errors import (DEFAULT_BUDGET, BudgetError, Record, ValidationError,
                      check_int)
@@ -109,12 +109,11 @@ def _count_naive(view: PSetView, n: int) -> int:
     return total
 
 
-def _lower_rows(bits: int, n: int) -> list:
-    # row h has bit i set iff h - i in P, for 0 <= i < h: the neighbours
-    # of h below it in the distance graph on {0..n-1}.  rev has bit n - d
-    # set iff d in P (0 < d < n)
-    rev = int(format(bits & ((1 << (n - 1)) - 1), f"0{n - 1}b")[::-1], 2) << 1
-    return [rev >> (n - h) for h in range(n)]
+def _reversed_p(bits: int, n: int) -> int:
+    # bit n - d set iff d in P, for 0 < d < n; so its row h, rev >> (n - h),
+    # has bit i set iff h - i in P, for 0 <= i < h: the neighbours of h
+    # below it in the distance graph on {0..n-1}
+    return int(format(bits & ((1 << (n - 1)) - 1), f"0{n - 1}b")[::-1], 2) << 1
 
 
 def _count_cliques(bits: int, n: int, budget: int, memo: dict) -> int:
@@ -134,7 +133,8 @@ def _count_cliques(bits: int, n: int, budget: int, memo: dict) -> int:
     root = (1 << n) - 1
     if root in memo:
         return memo[root]
-    rrow = _lower_rows(bits, n)
+    rev = _reversed_p(bits, n)
+    rrow = [rev >> (n - h) for h in range(n)]
     get = memo.get
     frames = []
     a = m = root  # the state to expand, as (key, mirror), key <= mirror
@@ -224,7 +224,7 @@ def _count_words(view: PSetView, n: int, mode: str, budget: int,
 
 
 def max_ones(view: PSetView, n: int,
-             budget: int = DEFAULT_BUDGET) -> Tuple[int, Configuration]:
+             budget: int = DEFAULT_BUDGET) -> tuple[int, Configuration]:
     """Largest number of 1s in an admissible length-n word, with witness.
 
     Returns the clique number of the distance graph together with the
@@ -251,9 +251,10 @@ def max_ones(view: PSetView, n: int,
     nor what a node is.  Each clique extended is one node and the root
     {0} is node 1; exhausting ``budget`` raises :class:`BudgetError`
     with ``nodes == budget + 1``.  Before the first node it builds
-    ``one`` and ``drop``, n masks each of up to n bits, which the budget
-    does not cap: memory grows as n², to a tracemalloc peak of 3.65 MB
-    at n = 4000 on co_multiples_2.
+    ``one`` and ``drop``, n masks each of up to n bits (``drop`` straight
+    from one reversed mask of P), which the budget does not cap: memory
+    grows as n², to a tracemalloc peak of 2.44 MB at n = 4000 on
+    co_multiples_2.
     """
     check_int(n, "window length must be a non-negative integer", 0)
     check_int(budget, "budget must be an integer")
@@ -268,7 +269,8 @@ def max_ones(view: PSetView, n: int,
     # its lower neighbours from a class in any frame's relative mask
     bits = view.bits & ((1 << (n - 1)) - 1)
     one = [1 << h for h in range(n)]
-    drop = [~(low | bit) for low, bit in zip(_lower_rows(view.bits, n), one)]
+    rev = _reversed_p(view.bits, n)
+    drop = [~(rev >> (n - h) | one[h]) for h in range(n)]
     best_size, best_ones, nodes = 1, (0,), 1
     # frame i extends chosen[:i + 1]: its candidates not yet tried, those
     # not yet coloured and the heads of the classes coloured so far
@@ -410,7 +412,7 @@ def scan_point(view: PSetView, horizon: int, keep=None) -> tuple:
 
 
 def find_join_gap(view: PSetView, u: Configuration, v: Configuration,
-                  gap_cap: int) -> Optional[int]:
+                  gap_cap: int) -> int | None:
     """Least g in [0, gap_cap] with u 0^g v admissible, or None.
 
     Within-word admissibility of `u` and `v` is assumed; only the cross
@@ -442,7 +444,7 @@ class TransitiveGapReport(Record):
     gap_cap: int
     total_pairs: int
     joinable_pairs: int
-    least_failing: Optional[tuple]
+    least_failing: tuple | None
 
 
 def transitive_gap_check(view: PSetView, word_len_cap: int,

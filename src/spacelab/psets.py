@@ -34,13 +34,13 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import (accumulate, chain, combinations, compress, islice,
                        pairwise)
 from math import ceil, floor, isqrt, lcm
 from operator import gt, lt, sub
-from typing import Optional, Sequence
 
 from .errors import Record, SpecError, ValidationError, check_int
 
@@ -587,19 +587,21 @@ class DensityReport(Record):
                      for n, count in enumerate(self.prefix_counts, 1))
 
 
-def _least_extremes(bits: int, counts: tuple, n0: int) -> list:
+def _least_extremes(bits: int, counts: tuple, starts: bytes,
+                    n0: int) -> list:
     # the least n >= n0 where c(n)/n is least, and where it is greatest.
     # c(n)/n does not fall along a run of members and does not rise along
     # a run of non-members, so the first n to reach the minimum is n0, H
     # or a non-member followed by a member, and the first to reach the
-    # maximum is n0, H or a member followed by a non-member; bit n - 1 of
-    # each boundary mask marks such an n, and c/n beats c'/n' iff
+    # maximum is n0, H or a member followed by a non-member.  The former
+    # is byte n of starts (a run of members starts at n + 1), the latter
+    # bit n - 1 of a run-end mask; c/n beats c'/n' iff
     # better(c * n', c' * n)
     H = len(counts)
+    ends = (bits & ~(bits >> 1)) >> (n0 - 1)
     found = []
-    for boundaries, better in ((~bits & bits >> 1, lt),
-                               (bits & ~(bits >> 1), gt)):
-        flags = _flags_from_mask(boundaries >> (n0 - 1), H - n0 + 1)
+    for flags, better in ((starts[n0:], lt),
+                          (_flags_from_mask(ends, H - n0 + 1), gt)):
         best = n0
         for n in chain(compress(range(n0, H + 1), flags), (H,)):
             if better(counts[n - 1] * best, counts[best - 1] * n):
@@ -621,7 +623,7 @@ def _max_window_count(counts: tuple, starts: bytes, before: list,
 
 
 def density_report(view: PSetView, window_grid: Sequence[int],
-                   n0: Optional[int] = None) -> DensityReport:
+                   n0: int | None = None) -> DensityReport:
     """Compute the four density notions of the profile exactly.
 
     Runs in C-level passes over the H positions, one for the prefix
@@ -658,10 +660,10 @@ def density_report(view: PSetView, window_grid: Sequence[int],
 
     bits = view.bits
     counts = tuple(accumulate(view.table[1:]))
-    lo_n, hi_n = _least_extremes(bits, counts, n0)
     # byte p - 1 of starts is 1 iff a run of members starts at p, and
     # before holds the members ahead of each run
     starts = _flags_from_mask(bits & ~(bits << 1), H)
+    lo_n, hi_n = _least_extremes(bits, counts, starts, n0)
     before = list(compress(chain((0,), counts), starts))
     banach = tuple(
         (w, Fraction(_max_window_count(counts, starts, before, w), w))

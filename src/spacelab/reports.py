@@ -11,16 +11,11 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-
-if TYPE_CHECKING:  # annotations only: importing them would run the layers
-    from .dynamics import FStatReport
-    from .language import LanguageProfile
-    from .psets import DensityReport
 
 
 def frac_str(value: Fraction) -> str:

@@ -38,6 +38,44 @@ def brute_max_ones(pset_elems, n):
     return 0, ()
 
 
+def russian_doll_omegas(pset_elems, n):
+    """[omega_0, ..., omega_n]: the clique number of the distance graph
+    on {0..k-1} for each k, by a Russian-doll recurrence (Ostergard, "A
+    fast algorithm for the maximum clique problem", 2002), independent
+    of the colour bound in max_ones.
+
+    The graph is translation invariant, so a clique inside an interval
+    of L positions has at most omega_L members.  A clique on {0..k-1}
+    larger than omega_{k-1} cannot fit in k - 1 positions, so it holds
+    both 0 and k - 1: omega_k = omega_{k-1} + 1 exactly when some clique
+    of that size contains both, else omega_k = omega_{k-1}.
+    """
+    ps = set(pset_elems)
+    omegas = [0, 1][:n + 1]
+
+    def grow(size, cands, last, need):
+        # size members chosen (0 and those below cands), plus last; each
+        # candidate v is adjacent to all of them, and the members from v
+        # to last fit in last - v + 1 positions
+        if size + 1 >= need:
+            return True
+        for i, v in enumerate(cands):
+            if (size + omegas[last - v + 1] < need
+                    or size + 1 + len(cands) - i < need):
+                return False
+            if grow(size + 1, [u for u in cands[i + 1:] if u - v in ps],
+                    last, need):
+                return True
+        return False
+
+    for k in range(2, n + 1):
+        last, need = k - 1, omegas[-1] + 1
+        cands = [v for v in range(1, last) if v in ps and last - v in ps]
+        omegas.append(need if last in ps and grow(1, cands, last, need)
+                      else need - 1)
+    return omegas
+
+
 @pytest.fixture(scope="session")
 def m2_view():
     return build_pset(Multiples(k=2), 64)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from spacelab import (
     ValidationError,
     build_pset,
     count_words,
+    elements,
     entropy_profile,
     find_join_gap,
     greedy_point,
@@ -27,7 +29,7 @@ from spacelab.psets import (
     Union,
     _mask_from,
 )
-from conftest import brute_count, brute_max_ones
+from conftest import brute_count, brute_max_ones, russian_doll_omegas
 
 
 def test_configuration_round_trip():
@@ -102,7 +104,6 @@ def test_count_frozen_values(m3_view, co2_view, co3_view):
 
 
 def test_count_matches_brute(m2_view, co3_view):
-    from spacelab import elements
     for view in (m2_view, co3_view):
         elems = elements(view)
         for n in (0, 1, 5, 9, 12):
@@ -225,8 +226,23 @@ def test_max_ones_node_counts_frozen(member, n, omega, nodes):
     assert err.value.nodes == nodes
 
 
+def test_max_ones_setup_memory():
+    # one and drop, n masks of up to n bits each, are built before the
+    # first node, drop straight from one reversed mask of P; with n rows
+    # of P beside them as well, the peak was 3.65 MB
+    view = build_pset(load_member("co_multiples_2"), 4000)
+    view.bits
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        assert max_ones(view, 4000)[0] == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
+
+
 def test_max_ones_matches_brute(co2_view, squares_view):
-    from spacelab import elements
     for view in (co2_view, squares_view):
         elems = elements(view)
         for n in (1, 4, 8, 11):
@@ -234,6 +250,16 @@ def test_max_ones_matches_brute(co2_view, squares_view):
             b_omega, b_combo = brute_max_ones(elems, n)
             assert omega == b_omega
             assert config.ones == b_combo
+
+
+@pytest.mark.parametrize("member", ["co_squares", "bohr_golden_quarter",
+                                    "union_m3_p15"])
+def test_max_ones_matches_russian_doll(member):
+    # past brute-force sizes, omega is checked against an oracle that
+    # shares no code or bound with the colour-class search
+    view = build_pset(load_member(member), 80)
+    omegas = russian_doll_omegas(elements(view), 80)
+    assert [max_ones(view, k)[0] for k in range(8, 81, 8)] == omegas[8::8]
 
 
 def test_max_ones_lex_least(co3_view):

@@ -41,13 +41,15 @@ CONSTANTS = {"CORPUS_VERSION": "corpus", "MEMBERS": "corpus",
              "DEFAULT_BUDGET": "language", "EXPERIMENT_IDS": "experiments"}
 
 
-def _run(code: str, *args: str) -> dict:
-    """Run code in a fresh interpreter; its last stdout line is JSON."""
+def _run(code: str, *args: str, flags: tuple = ()) -> dict:
+    """Run code in a fresh interpreter, with the extra interpreter
+    `flags`; its last stdout line is JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", code, *args],
-                          capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-W", "error", "-c", code, *args],
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -125,3 +127,17 @@ def test_command_runs_only_the_layers_it_calls(argv, needed, unneeded):
     assert not ran & unneeded, sorted(ran & unneeded)
     # dataclasses (with inspect and ast) would slow every call's start
     assert "dataclasses" not in got["loaded"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lang", "count", "--spec", '{"type":"squares"}', "--n", "12"],
+    ["corpus", "run-all", "--out"],
+])
+def test_command_loads_neither_typing_nor_resources(argv, tmp_path):
+    # -S: a site hook (a .pth file) may import both before spacelab does,
+    # which would hide them from the check above
+    if argv[-1] == "--out":
+        argv = [*argv, str(tmp_path / "out")]
+    got = _run(TRACE_CLI, *argv, flags=("-S",))
+    assert got["code"] == 0
+    assert {"typing", "importlib.resources"}.isdisjoint(got["loaded"])

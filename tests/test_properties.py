@@ -689,7 +689,10 @@ def test_long_horizon_densities_match_reference(name):
         lo, hi = min(tail)[0], max(tail)[0]
         assert (report.lower_est, report.upper_est) == (lo, hi)
         least = [next(n for d, n in tail if d == est) for est in (lo, hi)]
-        assert _least_extremes(view.bits, report.prefix_counts, n0) == least
+        starts = bytes(p in ps and p - 1 not in ps
+                       for p in range(1, LONG + 1))
+        assert _least_extremes(view.bits, report.prefix_counts, starts,
+                               n0) == least
         assert report.banach_profile == tuple(
             (w, Fraction(max(counts[m + w] - counts[m]
                              for m in range(LONG - w + 1)), w))
