@@ -227,9 +227,9 @@ def test_max_ones_node_counts_frozen(member, n, omega, nodes):
 
 
 def test_max_ones_setup_memory():
-    # one and drop, n masks of up to n bits each, are built before the
-    # first node, drop straight from one reversed mask of P; with n rows
-    # of P beside them as well, the peak was 3.65 MB
+    # one and drop, n masks of up to n bits each, are all that is built
+    # before the first node (2.44 MB); a third n-row table beside them
+    # would pass the bound
     view = build_pset(load_member("co_multiples_2"), 4000)
     view.bits
     tracemalloc.start()
