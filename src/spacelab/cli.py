@@ -455,10 +455,23 @@ def main(argv=None) -> int:
         view = _view(args) if hasattr(args, "spec") else None
         if hasattr(args, "budget") and args.budget < 1:
             raise ValidationError("budget must be positive")
+        if args.out == "":
+            raise ValidationError("--out must name a directory")
         text, files, params, *extra = args.func(args, view)
-        params.update(_shared_params(args, view))
-        digests = {} if view is None else {"spec": view.spec_digest}
-        digests.update(*extra)
+        if args.out:
+            params.update(_shared_params(args, view))
+            digests = {} if view is None else {"spec": view.spec_digest}
+            digests.update(*extra)
+            manifest = reports.build_manifest(
+                {"command": args.command, **params}, digests)
+            files["manifest.json"] = reports.json_text(manifest)
+            for name, data in files.items():
+                path = os.path.join(args.out, name)
+                try:
+                    reports.write_text(path, data)
+                except OSError as err:
+                    raise ValidationError(
+                        f"cannot write {path}: {err.strerror}") from None
     except BudgetError as err:
         _print_error("budget", str(err), nodes=err.nodes)
         return 3
@@ -473,13 +486,6 @@ def main(argv=None) -> int:
         _print_error("validation", str(err))
         return 2
     print(text, end="" if text.endswith("\n") else "\n")
-    if args.out:
-        for name, data in files.items():
-            reports.write_text(os.path.join(args.out, name), data)
-        manifest = reports.build_manifest({"command": args.command, **params},
-                                          digests)
-        reports.write_text(os.path.join(args.out, "manifest.json"),
-                           reports.json_text(manifest))
     return 0
 
 

@@ -284,20 +284,16 @@ def syndetic_gap(view: PSetView) -> SyndeticGapReport | None:
     """Gap profile of the members, or None when A is empty on [1..H]."""
     if not view.bits:
         return None
-    table = view.table
-    first = table.index(1)
-    last = table.rindex(1)
-    # the stretch first..last starts and ends with a member, so it
-    # splits into exactly the interior runs of non-members
-    runs = table[first:last + 1].split(b"\1")
-    interior = max(first - 1, max(map(len, runs)))
-    return SyndeticGapReport(interior_gap=interior,
-                             censored_tail=view.horizon - last)
+    # the digits run from the last member down to 1: split on "1", they
+    # give the interior runs of non-members, the gap before the first last
+    digits = format(view.bits, "b")
+    return SyndeticGapReport(interior_gap=max(map(len, digits.split("1"))),
+                             censored_tail=view.horizon - len(digits))
 
 
 def thick_run(view: PSetView) -> int:
     """Length of the longest run of consecutive members in [1..H]."""
-    return max(map(len, view.table[1:].split(b"\0")))
+    return max(map(len, format(view.bits, "b").split("0")))
 
 
 def intersective_refute(e_view: PSetView,

@@ -89,10 +89,13 @@ def make_point(view: PSetView, name: str, horizon: int,
 
 
 def _parse_int(text: str, what: str) -> int:
+    # only the canonical decimal, so that each point has one name
     try:
-        return int(text)
+        if str(value := int(text)) == text:
+            return value
     except ValueError:
-        raise ValidationError(f"bad {what}: {text!r}") from None
+        pass
+    raise ValidationError(f"bad {what}: {text!r}")
 
 
 def named_points(view: PSetView, horizon: int, maxones_n: int = 8,
@@ -197,7 +200,9 @@ def periodic_point_check(view: PSetView, k: int,
     check_int(k, "period must be a positive integer", 1)
     check_int(horizon, f"horizon must lie in [1..{view.horizon}]", 1,
               view.horizon)
-    missing = view.table[k:horizon + 1:k].find(0)
+    # digit -n is "1" iff n is in P: read every k-th leftward from digit -k
+    digits = format(view.bits & ((1 << horizon) - 1), f"0{horizon}b")
+    missing = digits[-k::-k].find("0")
     if missing >= 0:
         return PeriodicCheckResult(point=None,
                                    failing_multiple=k * (missing + 1))

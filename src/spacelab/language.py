@@ -87,7 +87,7 @@ def is_admissible(config: Configuration, view: PSetView) -> bool:
 
 
 def _count_naive(view: PSetView, n: int) -> int:
-    table = view.table
+    bits = view.bits & ((1 << n) - 1)
     total = 0
     for mask in range(1 << n):
         ones = []
@@ -97,7 +97,7 @@ def _count_naive(view: PSetView, n: int) -> int:
             low = rest & -rest
             pos = low.bit_length() - 1
             for prev in ones:
-                if not table[pos - prev]:
+                if not bits >> (pos - prev - 1) & 1:
                     ok = False
                     break
             if not ok:

@@ -6,7 +6,7 @@ and boolean combinations of those.  Each kind states its tagged-JSON
 keys once, in ``_wire``, and construction, parsing and serialization
 read them there.  Trees validate with a path to the offending node, and
 materialize over a horizon [1..H] as an integer bitmask (bit n-1 set iff
-n is a member), with a byte table alongside for constant-time lookups.
+n is a member), the one form of P that code outside this module reads.
 Setting one bit of an H-bit int costs O(H / 64), so no builder does:
 :func:`_mask_from` packs a few members (squares, explicit lists,
 differences) into H / 8 bytes read as an int once, multiples repeat one
@@ -451,29 +451,19 @@ def _flags_from_mask(mask: int, length: int) -> bytes:
 class PSetView(Record):
     """Materialized membership of a described set over [1..horizon].
 
-    ``bits`` has bit n-1 set iff n is a member.  Views are immutable and
-    a pure function of (spec, horizon); sharing them across workers is
-    safe.  Single numbers are looked up in :attr:`table`, and a whole
-    set of positions is tested with :meth:`admits`, which walks a legal
-    mask from position to position.  Searches over positions read
-    ``bits`` cut to their span and keep their own masks relative to the
-    last position chosen.
+    ``bits`` has bit n-1 set iff n is a member, and it is the view's only
+    form of P.  Views are immutable and a pure function of (spec,
+    horizon); sharing them across workers is safe.  :func:`member` reads
+    one bit, and a whole set of positions is tested with :meth:`admits`,
+    which walks a legal mask from position to position.  Searches over
+    positions read ``bits`` cut to their span and keep their own masks
+    relative to the last position chosen; bulk scans split the binary
+    digits of ``bits``.
     """
 
     horizon: int
     bits: int
     spec_digest: str
-
-    @cached_property
-    def table(self) -> bytes:
-        """Byte lookup table: ``table[n] == 1`` iff n is in P, else 0.
-
-        Its length is horizon + 1; ``table[0]`` is 0 because 0 is not in
-        N.  Built once in O(horizon) on first use and cached on the view;
-        indexing it costs O(1), where reading one bit of ``bits`` costs
-        O(horizon / 64).
-        """
-        return _flags_from_mask(self.bits << 1, self.horizon + 1)
 
     def admits(self, positions: Sequence[int]) -> bool:
         """Whether q - p is in P for every two of the increasing
@@ -545,17 +535,19 @@ def build_pset(spec: PSetSpec, horizon: int) -> PSetView:
 def member(view: PSetView, n: int) -> bool:
     """Exact membership of n, valid only inside the horizon.
 
+    Reads bit n-1 of ``view.bits``: one shift, O(H / 64) words.
     Out-of-horizon queries raise instead of returning False: the view
     carries no information beyond [1..H].
     """
     check_int(n, f"membership query {n!r} outside horizon [1..{view.horizon}]",
               1, view.horizon)
-    return bool(view.table[n])
+    return bool(view.bits >> (n - 1) & 1)
 
 
 def elements(view: PSetView) -> list:
     """All members in increasing order."""
-    return list(compress(range(view.horizon + 1), view.table))
+    return list(compress(range(1, view.horizon + 1),
+                         _flags_from_mask(view.bits, view.horizon)))
 
 
 class DensityReport(Record):
@@ -659,7 +651,7 @@ def density_report(view: PSetView, window_grid: Sequence[int],
         check_int(w, f"window length {w!r} outside [1..{H}]", 1, H)
 
     bits = view.bits
-    counts = tuple(accumulate(view.table[1:]))
+    counts = tuple(accumulate(_flags_from_mask(bits, H)))
     # byte p - 1 of starts is 1 iff a run of members starts at p, and
     # before holds the members ahead of each run
     starts = _flags_from_mask(bits & ~(bits << 1), H)

