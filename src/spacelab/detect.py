@@ -49,12 +49,9 @@ class StructureWitness(Record):
         payload = (list(self.payload) if isinstance(self.payload, tuple)
                    else self.payload)
         out = {"kind": self.kind, key: payload, "verified": self.verified}
-        if self.depth is not None:
-            out["depth"] = self.depth
-        if self.bound is not None:
-            out["bound"] = self.bound
-        if self.pair is not None:
-            out["pair"] = list(self.pair)
+        optional = {"depth": self.depth, "bound": self.bound,
+                    "pair": self.pair and list(self.pair)}
+        out.update((k, v) for k, v in optional.items() if v is not None)
         return out
 
 
@@ -161,8 +158,7 @@ def find_delta_chain(view: PSetView, depth: int, search_bound: int,
     :class:`BudgetError` with ``nodes == budget + 1``.
     """
     check_int(depth, "delta chains need depth >= 2", 2)
-    _check_bound(view, search_bound)
-    check_int(budget, "budget must be an integer")
+    _check_search(view, search_bound, budget)
     for nodes, chain in enumerate(_cliques(view, search_bound + 1, (1,)), 1):
         if nodes > budget:
             raise BudgetError("delta-chain budget exhausted", nodes)
@@ -172,63 +168,57 @@ def find_delta_chain(view: PSetView, depth: int, search_bound: int,
     return None
 
 
-def _check_bound(view: PSetView, search_bound: int) -> None:
+def _check_search(view: PSetView, search_bound: int, budget: int) -> None:
     check_int(search_bound, "search bound must be a positive integer", 1)
     if search_bound > view.horizon:
         raise ValidationError(
             f"search bound {search_bound} exceeds horizon {view.horizon}")
+    check_int(budget, "budget must be an integer")
 
 
 def _find_generator(view: PSetView, depth: int, search_bound: int,
                     budget: int, kind: str) -> StructureWitness | None:
     # lexicographic DFS over increasing tuples with sum <= bound on a stack
-    # of mask frames (value v is bit W + v): with F = FS(chosen) and
-    # G = F + {0}, a frame holds pos = G, and for IP-IP also neg = -G and
-    # diffs = F - F.  Each positive value a newly requires must be in P:
-    # g + a (IP); +-(a+g-f) and +-f (IP-IP: with F - F, checked before,
-    # all new differences)
+    # of one mask per level (value v is bit W + v): with G = FS(chosen) +
+    # {0}, IP keeps G (W = 0) and IP-IP the signed sums G - G (W = bound),
+    # whose positive part but the full sum S holds the differences of
+    # finite sums (proof in verify_witness).  The child's positive part,
+    # less S + a for IP-IP, must lie in P
     pairwise = kind == "ip_ip_generator"
     name = "IP-IP" if pairwise else "IP"
     check_int(depth, f"{name} generators need depth >= 1", 1)
-    _check_bound(view, search_bound)
-    check_int(budget, "budget must be an integer")
-    W = search_bound
-    zero = 1 << W
+    _check_search(view, search_bound, budget)
+    W = search_bound if pairwise else 0
     illegal = ~view.bits
     nodes = 0
     chosen: list = []
-    frames = [(zero, zero, 0) if pairwise else (zero,)]
+    masks = [1 << W]
     a = 1  # next candidate at the current level
     while True:
-        pos = frames[-1][0]
-        total = pos.bit_length() - 1 - W  # max(G) = sum(chosen)
+        mask = masks[-1]
+        total = mask.bit_length() - 1 - W  # max(G) = sum(chosen)
         rest = depth - len(chosen)
         # the least completion a, a + 1, ..., a + rest - 1 must fit
         if total + rest * a + rest * (rest - 1) // 2 > search_bound:
             if not chosen:
                 return None
-            frames.pop()
+            masks.pop()
             a = chosen.pop() + 1
             continue
         nodes += 1
         if nodes > budget:
             raise BudgetError("generator budget exhausted", nodes)
-        if pairwise:
-            _, neg, diffs = frames[-1]
-            f_pos, f_neg = pos ^ zero, neg ^ zero
-            new = (diffs << a | diffs >> a | f_neg << a | f_pos >> a
-                   | f_pos | f_neg)
-        else:
-            new = pos << a
-        if (new >> (W + 1)) & illegal:
+        child = mask | mask << a | (mask >> a if pairwise else 0)
+        # bit v - 1 of the positive part is v; S + a is its top bit
+        top = 1 << (total + a - 1) if pairwise else 0
+        if (child >> (W + 1) ^ top) & illegal:
             a += 1
             continue
         chosen.append(a)
         if len(chosen) == depth:
             return _certified(view, kind=kind, payload=tuple(chosen),
                               depth=depth, bound=search_bound)
-        frames.append((pos | pos << a, neg | neg >> a, diffs | new | zero)
-                      if pairwise else (pos | pos << a,))
+        masks.append(child)
         a += 1
 
 
@@ -242,10 +232,10 @@ def find_ip_generator(view: PSetView, depth: int, search_bound: int,
     One node is one candidate a tried as the next element: at each level
     every a from the previous element + 1 (or 1) upward is tried in
     increasing order while the least completion a, a + 1, ... still fits
-    the bound.  The distinct sums are kept as a bitmask, so a node costs
-    O(bound / 64) word operations and the search holds one mask of
-    O(bound) bits per level.  Exhaustion raises :class:`BudgetError`
-    with ``nodes == budget + 1``.
+    the bound.  The search keeps one mask per level, the finite sums of
+    the chosen prefix, so a node costs O(bound / 64) word operations and
+    each level holds O(bound) bits.  Exhaustion raises
+    :class:`BudgetError` with ``nodes == budget + 1``.
     """
     return _find_generator(view, depth, search_bound, budget, "ip_generator")
 
@@ -258,10 +248,10 @@ def find_ip_ip_generator(view: PSetView, depth: int, search_bound: int,
     depth-1 generator is vacuous (FS has a single element) and returns
     (1,) whenever the bound admits it.
 
-    Nodes, the budget rule and the cost of O(bound / 64) word
-    operations per node are those of :func:`find_ip_generator`; the
-    search holds three masks of O(bound) bits per level (the sums, their
-    negatives and their differences).
+    Nodes, the budget rule and the cost per node are those of
+    :func:`find_ip_generator`, and so is one mask per level: here the
+    signed sums of the prefix, whose positive part but the full sum is
+    the set of differences of finite sums (see :func:`verify_witness`).
     """
     return _find_generator(view, depth, search_bound, budget,
                            "ip_ip_generator")
@@ -309,7 +299,6 @@ def intersective_refute(e_view: PSetView,
     """
     if e_view.horizon != a_view.horizon:
         raise ValidationError("E and A must share a horizon")
-    horizon = e_view.horizon
     a_bits = a_view.bits
     rest = e_view.bits
     while rest:
@@ -325,7 +314,7 @@ def intersective_refute(e_view: PSetView,
     a = (both & -both).bit_length()
     pair = (a, a + e)
     witness = _certified(e_view, kind="intersective_hit", payload=e,
-                         bound=horizon, pair=pair)
+                         bound=e_view.horizon, pair=pair)
     in_a = member(a_view, a) and member(a_view, a + e)
     return replace(witness, verified=witness.verified and in_a)
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import DEFAULT_BUDGET, Record, ValidationError, check_int
 from .language import (Configuration, greedy_point, is_admissible, max_ones,
                        scan_point)
-from .psets import PSetView
+from .psets import Multiples, PSetView
 
 
 class OrbitPoint(Record):
@@ -196,7 +196,11 @@ class PeriodicCheckResult(Record):
 
 def periodic_point_check(view: PSetView, k: int,
                          horizon: int) -> PeriodicCheckResult:
-    """Period-k point exists iff every multiple of k up to horizon is in P."""
+    """Period-k point exists iff every multiple of k up to horizon is in P.
+
+    The point's differences are the multiples of k below the horizon, so
+    it is re-checked by one mask of them, as an IP generator is.
+    """
     check_int(k, "period must be a positive integer", 1)
     check_int(horizon, f"horizon must lie in [1..{view.horizon}]", 1,
               view.horizon)
@@ -206,6 +210,8 @@ def periodic_point_check(view: PSetView, k: int,
     if missing >= 0:
         return PeriodicCheckResult(point=None,
                                    failing_multiple=k * (missing + 1))
-    config = Configuration(horizon, tuple(range(0, horizon, k)))
-    point = _wrap(view, config, f"periodic:{k}")
+    diffs = Multiples(k)._bits(horizon) & ((1 << (horizon - 1)) - 1)
+    point = OrbitPoint(config=Configuration(horizon, range(0, horizon, k)),
+                       label=f"periodic:{k}", spec_digest=view.spec_digest,
+                       admissible=not diffs & ~view.bits)
     return PeriodicCheckResult(point=point, failing_multiple=None)

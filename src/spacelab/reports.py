@@ -94,12 +94,16 @@ def build_manifest(parameters: dict, spec_digests: dict) -> dict:
 
 def write_text(path: str, text: str) -> None:
     """Atomic write: temp file in the same directory, then rename."""
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="ascii", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)  # ours once opened, so no NAME.tmp is left
+        raise
 
 
 _PALETTE = ("#1f6feb", "#d1242f", "#1a7f37", "#8250df", "#9a6700")

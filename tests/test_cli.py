@@ -222,18 +222,23 @@ def test_unreadable_spec_file(capsys, tmp_path, option, content, kind):
     assert json.loads(err)["error"]["type"] == kind
 
 
-@pytest.mark.parametrize("out", ["file", "file/sub", ""])
+@pytest.mark.parametrize("out", ["file", "file/sub", "", "taken"])
 def test_unwritable_out_exits_2(capsys, tmp_path, out):
     # a file where the report directory should be, a path under a file,
-    # or no path at all: nothing is printed and nothing is written
+    # no path at all, or a directory where the report should be: nothing
+    # is printed and nothing is written, not even a temp file
     (tmp_path / "file").write_text("kept")
+    (tmp_path / "taken" / "count.json").mkdir(parents=True)
     code, stdout, err = run_cli(capsys, "lang", "count", "--spec", SQUARES,
                                 "--n", "3", "--out",
                                 out and str(tmp_path / out))
     assert (code, stdout) == (2, "")
     assert err.count("\n") == 1
     assert json.loads(err)["error"]["type"] == "validation"
-    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert sorted(p.relative_to(tmp_path).as_posix()
+                  for p in tmp_path.rglob("*")) == [
+        "file", "taken", "taken/count.json"]
     assert (tmp_path / "file").read_text() == "kept"
 
 

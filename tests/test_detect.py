@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import pytest
 
@@ -101,6 +102,50 @@ def test_delta_chain_budget_boundary_frozen(member, depth, bound, nodes,
     with pytest.raises(BudgetError) as exc:
         find_delta_chain(view, depth, bound, budget=nodes - 1)
     assert exc.value.nodes == nodes
+
+
+@pytest.mark.parametrize("member, depth, bound, ip, ip_ip", [
+    ("multiples_2", 3, 64, (6, (2, 4, 6)), (36, (2, 4, 6))),
+    ("co_squares", 4, 200, (10, (2, 3, 5, 10)), (109, (2, 5, 10, 45))),
+    ("union_m3_p15", 4, 400, (334, (3, 6, 9, 12)), (462, (3, 6, 9, 12))),
+    ("intersect_co2_co3", 3, 300, (2583, None), (7450, None)),
+    ("bohr_golden_quarter", 3, 2000, (610, (2, 34, 610)),
+     (255262, (13, 26, 39))),
+])
+def test_generator_budget_boundary_frozen(member, depth, bound, ip, ip_ip):
+    # the least budget at which each search answers, taken while the
+    # IP-IP search still kept three masks per level; one fewer is
+    # "don't know", reported at budget + 1 nodes
+    view = build_pset(load_member(member), bound)
+    for search, (nodes, payload) in ((find_ip_generator, ip),
+                                     (find_ip_ip_generator, ip_ip)):
+        witness = search(view, depth, bound, budget=nodes)
+        assert (witness and witness.payload) == payload
+        assert witness is None or witness.verified
+        with pytest.raises(BudgetError) as exc:
+            search(view, depth, bound, budget=nodes - 1)
+        assert exc.value.nodes == nodes
+
+
+@pytest.mark.parametrize("search, limit", [
+    (find_ip_generator, 5_000_000),
+    (find_ip_ip_generator, 16_000_000),
+], ids=["ip", "ip_ip"])
+def test_deep_generator_memory(search, limit):
+    # 1 + ... + 500 = 125250: one mask per level, the finite sums for IP
+    # and the signed sums for IP-IP, peaks at about 3 and 11 MB, and
+    # masks offset by the bound, three per level for IP-IP, at 11 and 31
+    view = build_pset(Multiples(k=1), 125250)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        witness = search(view, 500, 125250)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness.payload == tuple(range(1, 501))
+    assert witness.verified
+    assert peak < limit
 
 
 def test_delta_chain_deeper_than_the_stack():
