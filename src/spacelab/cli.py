@@ -15,6 +15,7 @@ emitted as JSON on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -103,17 +104,16 @@ def _cmd_pset_density(args, view) -> tuple:
     grid = _int_list(args.window_grid, "--window-grid")
     report = density_report(view, grid, n0=args.n0)
     text = reports.json_text(reports.density_json(report))
-    files = {
-        "density.json": text,
-        "prefix.csv": reports.density_prefix_csv(report),
-        "banach.csv": reports.density_banach_csv(report),
-    }
-    if args.plot and args.out:
-        # count / n is correctly rounded, so equal to float(Fraction(count, n))
-        xs = list(range(1, report.horizon + 1))
-        ys = [count / n for n, count in zip(xs, report.prefix_counts)]
-        files["density.svg"] = reports.svg_line_plot(
-            [("prefix", xs, ys)], "prefix density", "n", "density")
+    files = {"density.json": text}
+    if args.out:
+        files["prefix.csv"] = reports.density_prefix_csv(report)
+        files["banach.csv"] = reports.density_banach_csv(report)
+        if args.plot:
+            # count / n is correctly rounded, so equal to float(Fraction(count, n))
+            xs = list(range(1, report.horizon + 1))
+            ys = [count / n for n, count in zip(xs, report.prefix_counts)]
+            files["density.svg"] = reports.svg_line_plot(
+                [("prefix", xs, ys)], "prefix density", "n", "density")
     return text, files, {"n0": report.n0, "window_grid": grid}
 
 
@@ -465,11 +465,15 @@ def main(argv=None) -> int:
             manifest = reports.build_manifest(
                 {"command": args.command, **params}, digests)
             files["manifest.json"] = reports.json_text(manifest)
-            for name, data in files.items():
-                path = os.path.join(args.out, name)
+            paths = [os.path.join(args.out, name) for name in files]
+            for i, (path, data) in enumerate(zip(paths, files.values())):
                 try:
                     reports.write_text(path, data)
                 except OSError as err:
+                    # a failed call leaves none of its files behind
+                    for done in paths[:i]:
+                        with contextlib.suppress(OSError):
+                            os.remove(done)
                     raise ValidationError(
                         f"cannot write {path}: {err.strerror}") from None
     except BudgetError as err:

@@ -222,13 +222,15 @@ def test_unreadable_spec_file(capsys, tmp_path, option, content, kind):
     assert json.loads(err)["error"]["type"] == kind
 
 
-@pytest.mark.parametrize("out", ["file", "file/sub", "", "taken"])
+@pytest.mark.parametrize("out", ["file", "file/sub", "", "taken", "held"])
 def test_unwritable_out_exits_2(capsys, tmp_path, out):
     # a file where the report directory should be, a path under a file,
-    # no path at all, or a directory where the report should be: nothing
-    # is printed and nothing is written, not even a temp file
+    # no path at all, or a directory where the report or the manifest
+    # written after it should be: nothing is printed and nothing written
+    # is left behind, not even a temp file
     (tmp_path / "file").write_text("kept")
     (tmp_path / "taken" / "count.json").mkdir(parents=True)
+    (tmp_path / "held" / "manifest.json").mkdir(parents=True)
     code, stdout, err = run_cli(capsys, "lang", "count", "--spec", SQUARES,
                                 "--n", "3", "--out",
                                 out and str(tmp_path / out))
@@ -238,7 +240,7 @@ def test_unwritable_out_exits_2(capsys, tmp_path, out):
     assert not list(tmp_path.rglob("*.tmp"))
     assert sorted(p.relative_to(tmp_path).as_posix()
                   for p in tmp_path.rglob("*")) == [
-        "file", "taken", "taken/count.json"]
+        "file", "held", "held/manifest.json", "taken", "taken/count.json"]
     assert (tmp_path / "file").read_text() == "kept"
 
 
@@ -390,6 +392,21 @@ def test_pset_density_files(capsys, tmp_path):
     assert manifest["parameters"]["horizon"] == 16
     assert len(manifest["spec_digests"]["spec"]) == 64
     assert json.loads(out)["prefix_final"] == "11/16"
+
+
+def test_pset_density_without_out_builds_no_files(capsys, monkeypatch,
+                                                  tmp_path):
+    # the CSVs and the plot are built only to be written under --out
+    argv = ["pset", "density", "--spec", CO3, "--horizon", "16",
+            "--window-grid", "4,8", "--plot"]
+    _, usual, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "dens"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("report file built without --out")
+
+    for name in ("density_prefix_csv", "density_banach_csv", "svg_line_plot"):
+        monkeypatch.setattr(cli.reports, name, refuse)
+    assert run_cli(capsys, *argv) == (0, usual, "")
 
 
 def test_lang_entropy_csv(capsys):

@@ -214,6 +214,8 @@ def test_max_ones_budget_boundary_frozen():
     ("co_squares", 64, 16, 13_106),
     ("bohr_golden_quarter", 256, 11, 54),
     ("union_m3_p15", 128, 43, 45),
+    ("multiples_2", 512, 256, 256),
+    ("squares", 2000, 3, 12),
 ])
 def test_max_ones_node_counts_frozen(member, n, omega, nodes):
     # the least budget at which the search answers, taken before its
