@@ -57,13 +57,17 @@ class StructureWitness(Record):
 
 def witness_from_json(obj: dict) -> StructureWitness:
     """Rebuild a witness from its JSON form (inverse of ``to_json``)."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"a witness is a JSON object, not {obj!r}")
     kind = obj.get("kind")
     if kind not in _PAYLOAD_KEYS:
         raise ValidationError(f"unknown witness kind {kind!r}")
-    payload = obj[_PAYLOAD_KEYS[kind]]
+    key, pair = _PAYLOAD_KEYS[kind], obj.get("pair")
+    if key not in obj or not isinstance(pair, (list, type(None))):
+        raise ValidationError(f"malformed {kind} witness JSON: {obj!r}")
+    payload = obj[key]
     if isinstance(payload, list):
         payload = tuple(payload)
-    pair = obj.get("pair")
     return StructureWitness(kind=kind, payload=payload,
                             verified=bool(obj.get("verified")),
                             depth=obj.get("depth"), bound=obj.get("bound"),
@@ -108,30 +112,34 @@ def verify_witness(witness: StructureWitness, view: PSetView) -> bool:
     increasing tuple of integers spanning at most H go to
     :meth:`PSetView.admits`, any other to ``member`` pair by pair.
     """
-    kind = witness.kind
-    if kind == "delta_chain":
-        return _differences_in(witness.payload, view)
-    if kind in ("ip_generator", "ip_ip_generator"):
-        gens = witness.payload
-        if (all(isinstance(g, int) and g >= 1 for g in gens)
-                and (total := sum(gens)) <= view.horizon):
-            if kind == "ip_generator":
-                return not FiniteSums(gens)._bits(view.horizon) & ~view.bits
-            signed = 1 << total
-            for g in gens:
-                signed |= signed << g | signed >> g
-            # bit S + d of signed marks d; bit d - 1 of diffs, for 0 < d < S
-            diffs = signed >> (total + 1) & ((1 << total) - 1) >> 1
-            return not diffs & ~view.bits
-        if kind == "ip_generator":
-            return all(member(view, s) for s in finite_sums(gens))
-        return _differences_in(tuple(finite_sums(gens)), view)
+    kind, payload, pair = witness.kind, witness.payload, witness.pair
+    if kind not in _PAYLOAD_KEYS:
+        raise ValidationError(f"unknown witness kind {kind!r}")
     if kind == "intersective_hit":
-        if witness.pair is None:
+        if pair is None:
             return False
-        a, b = witness.pair
-        return member(view, witness.payload) and b - a == witness.payload
-    raise ValidationError(f"unknown witness kind {kind!r}")
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(v, int) for v in pair)):
+            raise ValidationError(f"a pair is two integers, not {pair!r}")
+        return member(view, payload) and pair[1] - pair[0] == payload
+    if not (isinstance(payload, (list, tuple))
+            and all(isinstance(g, (int, float)) for g in payload)):
+        raise ValidationError(f"{kind} {payload!r}: not a list of numbers")
+    if kind == "delta_chain":
+        return _differences_in(payload, view)
+    if (all(isinstance(g, int) and g >= 1 for g in payload)
+            and (total := sum(payload)) <= view.horizon):
+        if kind == "ip_generator":
+            return not FiniteSums(payload)._bits(view.horizon) & ~view.bits
+        signed = 1 << total
+        for g in payload:
+            signed |= signed << g | signed >> g
+        # bit S + d of signed marks d; bit d - 1 of diffs, for 0 < d < S
+        diffs = signed >> (total + 1) & ((1 << total) - 1) >> 1
+        return not diffs & ~view.bits
+    if kind == "ip_generator":
+        return all(member(view, s) for s in finite_sums(payload))
+    return _differences_in(tuple(finite_sums(payload)), view)
 
 
 def _certified(view: PSetView, **fields) -> StructureWitness:

@@ -36,7 +36,6 @@ import json
 import sys
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cached_property
 from itertools import (accumulate, chain, combinations, compress, islice,
                        pairwise)
 from math import ceil, floor, isqrt, lcm
@@ -556,7 +555,7 @@ class DensityReport(Record):
     ``prefix_counts`` holds |A intersect [1..n]| for every n up to the
     horizon, as plain ints, stored at the cost of one addition each;
     :attr:`prefix_densities` builds the rationals count/n from them on
-    first read, at the cost of one ``Fraction`` (a gcd) each, several
+    each read, at the cost of one ``Fraction`` (a gcd) each, several
     times the whole report's.  ``lower_est``/``upper_est`` are the
     min/max of the prefix densities over n >= n0 (the cutoff damps
     initial transients and is reported, not hidden); ``banach_profile``
@@ -571,10 +570,10 @@ class DensityReport(Record):
     upper_est: Fraction
     banach_profile: tuple
 
-    @cached_property
+    @property
     def prefix_densities(self) -> tuple:
         """``(n, Fraction(count, n))`` for every n up to the horizon,
-        built from ``prefix_counts`` on first read and cached."""
+        built from ``prefix_counts`` on each read."""
         return tuple((n, Fraction(count, n))
                      for n, count in enumerate(self.prefix_counts, 1))
 
@@ -622,7 +621,7 @@ def density_report(view: PSetView, window_grid: Sequence[int],
     counts and one per window, plus one Python step per boundary of a
     run of members in the tail; no float decides anything.  The H
     prefix counts are stored; their H ``Fraction``s are not built here
-    but on the first read of ``prefix_densities``.  The tail extremes
+    but on each read of ``prefix_densities``.  The tail extremes
     are found among the run boundaries, comparing count/n as integer
     cross-products, and each window count among the windows that start
     a run of members; each reported extreme is the rational already in

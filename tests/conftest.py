@@ -76,6 +76,52 @@ def russian_doll_omegas(pset_elems, n):
     return omegas
 
 
+def successor_layer_counts(n, legal, age):
+    """[N_0, ..., N_n]: the words of each length up to n of a binary
+    shift whose state is a frozenset of ages, one layer of states per
+    length, each with the number of words that reach it.
+
+    The age of a 1 is its distance to the position about to be filled,
+    folded by ``age`` (which returns None for a 1 that no longer
+    matters).  A 1 may be placed iff ``legal(d)`` for every age d in the
+    state; either symbol then ages every 1 by one, and a new 1 enters at
+    age 1.
+    """
+    layer = {frozenset(): 1}
+    counts = [1]
+    for _ in range(n):
+        nxt = {}
+        for ages, ways in layer.items():
+            older = frozenset(a for d in ages
+                              if (a := age(d + 1)) is not None)
+            succs = [older]
+            if all(legal(d) for d in ages):
+                succs.append(older | {age(1)})
+            for succ in succs:
+                nxt[succ] = nxt.get(succ, 0) + ways
+        layer = nxt
+        counts.append(sum(layer.values()))
+    return counts
+
+
+def residue_counts(q, residues, n):
+    """c_0..c_n for P = {p >= 1 : p mod q in residues}, by the
+    residue-set automaton: a 1 at b is legal iff (b - a) mod q is in
+    the residue set for every earlier 1 at a, so only the ages mod q of
+    the 1s placed so far matter."""
+    return successor_layer_counts(n, lambda d: d in residues,
+                                  lambda d: d % q)
+
+
+def cover_counts(ps, m, n):
+    """N_0..N_n(X_m) for X_m, the spacing shift of ps | (m, oo): only
+    the 1s among the last m positions constrain the next one, so X_m is
+    an m-step shift of finite type containing the spacing shift of ps;
+    N_k(X_m) = c_k for k <= m + 1, and N_k(X_m) >= c_k beyond it."""
+    return successor_layer_counts(n, lambda d: d in ps,
+                                  lambda d: d if d <= m else None)
+
+
 @pytest.fixture(scope="session")
 def m2_view():
     return build_pset(Multiples(k=2), 64)

@@ -249,9 +249,15 @@ def test_witness_json_round_trip(squares_view):
     assert verify_witness(again, view)
 
 
-def test_witness_json_rejects_unknown():
+@pytest.mark.parametrize("obj", [
+    {"kind": "mystery", "S": [1]},
+    {"kind": "delta_chain"},  # no payload
+    5,  # not an object
+    {"kind": "intersective_hit", "value": 2, "pair": 5},
+])
+def test_witness_json_rejects_unknown(obj):
     with pytest.raises(ValidationError):
-        witness_from_json({"kind": "mystery", "S": [1]})
+        witness_from_json(obj)
 
 
 def test_verify_witness_rejects_bad(m2_view):
@@ -265,6 +271,9 @@ def test_verify_witness_rejects_bad(m2_view):
                            pair=(1, 3))
     assert verify_witness(hit, m2_view)
     assert verify_witness(replace(hit, pair=None), m2_view) is False
+    for pair in ((1,), 5):  # a pair is two integers
+        with pytest.raises(ValidationError, match="^a pair is two integers"):
+            verify_witness(replace(hit, pair=pair), m2_view)
     with pytest.raises(ValidationError,
                        match="^unknown witness kind 'mystery'$"):
         verify_witness(replace(hit, kind="mystery"), m2_view)
@@ -283,6 +292,8 @@ def test_verify_witness_rejects_bad(m2_view):
     ((1, 3, 3), ValidationError),
     ((1, 12), ValidationError),  # difference 11 is past the horizon
     ((1.0, 3.0), ValidationError),  # differences must be integers
+    (5, ValidationError),  # not a list or tuple
+    (("a", "b"), ValidationError),  # not numbers
 ])
 def test_verify_delta_chain_edge_cases(payload, expected):
     view = build_pset(Multiples(k=2), 10)
@@ -320,6 +331,8 @@ _OUTSIDE = "outside horizon [1..10]"
     ((4, 2), True, True),  # not increasing
     ((True,), False, True),
     ((2, True), False, False),
+    (("3",), ValidationError, ValidationError),  # not numbers
+    (None, ValidationError, ValidationError),  # not a list or tuple
 ])
 def test_verify_generator_edge_cases(payload, ip, ip_ip):
     # membership is asked of the sorted distinct sums (IP) or of their
@@ -328,7 +341,10 @@ def test_verify_generator_edge_cases(payload, ip, ip_ip):
     for kind, expected in (("ip_generator", ip), ("ip_ip_generator", ip_ip)):
         witness = StructureWitness(kind=kind, payload=payload,
                                    verified=False)
-        if isinstance(expected, str):
+        if expected is ValidationError:
+            with pytest.raises(ValidationError):
+                verify_witness(witness, view)
+        elif isinstance(expected, str):
             with pytest.raises(ValidationError) as err:
                 verify_witness(witness, view)
             assert str(err.value) == "membership " + expected

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -42,7 +43,8 @@ from spacelab.dynamics import OrbitPoint, random_point
 from spacelab.psets import (Bohr, Complement, DeltaOf, DiffSet, Explicit,
                             FiniteSums, Intersect, Multiples, Squares, Union,
                             _cliques, _least_extremes)
-from conftest import brute_count, brute_f, brute_max_ones
+from conftest import (brute_count, brute_f, brute_max_ones, cover_counts,
+                      residue_counts)
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -96,6 +98,77 @@ def test_count_agrees_with_independent_sets(elems, complement, n):
         elems = set(range(1, 32)) - elems
     view = view_of(elems, horizon=32)
     assert count_words(view, n) == independent_set_count(elems, n)
+
+
+# the purely periodic corpus members as (q, p -> p in P)
+_PERIODIC = {
+    "full_shift": (1, lambda p: True),
+    "multiples_2": (2, lambda p: p % 2 == 0),
+    "multiples_3": (3, lambda p: p % 3 == 0),
+    "multiples_5": (5, lambda p: p % 5 == 0),
+    "co_multiples_2": (2, lambda p: p % 2 != 0),
+    "co_multiples_3": (3, lambda p: p % 3 != 0),
+    "co_multiples_5": (5, lambda p: p % 5 != 0),
+    "intersect_co2_co3": (6, lambda p: p % 2 != 0 and p % 3 != 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PERIODIC))
+def test_count_matches_residue_automaton_on_periodic_corpus(name):
+    # far past naive mode's cap of 24, and past every frozen value
+    q, in_p = _PERIODIC[name]
+    residues = {p % q for p in range(1, q + 1) if in_p(p)}
+    view = build_pset(load_member(name), 120)
+    expected = residue_counts(q, residues, 120)
+    assert [count_words(view, n) for n in range(121)] == expected
+
+
+@given(q=st.integers(min_value=1, max_value=7), data=st.data())
+@SETTINGS
+def test_count_matches_residue_automaton(q, data):
+    # any residue set, symmetric or not, as an explicit set over H = 60
+    residues = data.draw(st.sets(st.integers(min_value=0, max_value=q - 1)))
+    elems = tuple(p for p in range(1, 61) if p % q in residues)
+    view = build_pset(Explicit(elems=elems), 60)
+    expected = residue_counts(q, residues, 60)
+    assert [count_words(view, n) for n in range(61)] == expected
+
+
+def _bohr_golden_quarter(p):
+    # frac(p * alpha) in the open interval (0, 1/4), alpha as written
+    return 0 < p * Fraction("0.61803398875") % 1 < Fraction(1, 4)
+
+
+# corpus members that are not purely periodic, as p -> p in P
+_APERIODIC = {
+    "co_squares": lambda p: isqrt(p) ** 2 != p,
+    "squares": lambda p: isqrt(p) ** 2 == p,
+    "bohr_golden_quarter": _bohr_golden_quarter,
+    "union_m3_p15": lambda p: p % 3 == 0 or p in (1, 5),
+}
+
+
+def _check_cover(counts, ps, m):
+    # N_k(X_m) = c_k while a word spans no distance past m, then >= c_k
+    covers = cover_counts(ps, m, len(counts) - 1)
+    for k, c in enumerate(counts):
+        assert covers[k] == c if k <= m + 1 else covers[k] >= c
+
+
+@pytest.mark.parametrize("name", sorted(_APERIODIC))
+def test_count_matches_finite_range_cover_on_corpus(name):
+    view = build_pset(load_member(name), 40)
+    counts = [count_words(view, n) for n in range(41)]
+    ps = {p for p in range(1, 41) if _APERIODIC[name](p)}
+    for m in (1, 2, 4, 9, 16):
+        _check_cover(counts, ps, m)
+
+
+def test_finite_range_cover_pins_co_squares():
+    view = build_pset(load_member("co_squares"), 26)
+    ps = {p for p in range(1, 27) if isqrt(p) ** 2 != p}
+    assert cover_counts(ps, 16, 17)[17] == count_words(view, 17) == 913
+    assert cover_counts(ps, 25, 26)[26] == count_words(view, 26) == 13_675
 
 
 @given(elems=subsets, n=st.integers(min_value=0, max_value=10))
@@ -276,6 +349,15 @@ def small_sets(draw):
             members = set(range(1, 31)) - members
     in_horizon = {n for n in members if n <= horizon}
     return build_pset(spec, horizon), in_horizon
+
+
+@given(case=small_sets(), data=st.data())
+@SETTINGS
+def test_count_matches_finite_range_cover(case, data):
+    view, ps = case
+    H = view.horizon
+    m = data.draw(st.integers(min_value=1, max_value=H))
+    _check_cover([count_words(view, n) for n in range(H + 1)], ps, m)
 
 
 def ref_admissible(ps, ones):
@@ -652,7 +734,8 @@ def test_scans_and_densities_match_reference(case, data):
     assert report.prefix_counts == counts
     prefix = tuple((n, Fraction(c, n)) for n, c in enumerate(counts, 1))
     assert report.prefix_densities == prefix
-    assert report.prefix_densities is report.prefix_densities
+    assert report.prefix_densities == report.prefix_densities
+    assert vars(report).keys() == set(report._fields)
     tail = [d for n, d in prefix if n >= n0]
     assert (report.lower_est, report.upper_est) == (min(tail), max(tail))
     # each extreme is the prefix density at the least n >= n0 reaching it

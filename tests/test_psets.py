@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt, lcm
@@ -339,6 +340,22 @@ def test_digest_stable_and_distinct():
     assert a == b
     assert a != c
     assert len(a) == 64
+
+
+def test_prefix_densities_are_not_kept_on_the_report():
+    # the H Fractions are built on each read and freed with the tuple,
+    # so the report keeps only its integer counts; a cached tuple would
+    # hold about 17.8 MB (CPython 3.11)
+    report = density_report(build_pset(Squares(), 100_000), [10])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert report.prefix_densities[-1] == (100_000, Fraction(316, 100_000))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1_000_000
+    assert vars(report).keys() == set(report._fields)
 
 
 def test_density_exact_fractions(co2_view):
