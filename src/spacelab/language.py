@@ -11,11 +11,12 @@ all 2^n subsets and checks pairwise differences directly, and a clique
 counter whose memo is keyed on candidate masks up to translation and
 reflection, so that translates and mirror images share one entry, and
 that expands each entry once on an explicit stack, handing its value
-straight to its parent's frame.  Tests require the two to agree
-exactly.  The max-ones search is a branch-and-bound over cliques
-containing 0 that bounds each candidate by greedy colour classes.  The
-counter's mirror step and the colouring both read each vertex's lower
-neighbours from one reversed mask of P.
+straight to its parent's frame; a state reached by dropping a vertex
+enters the memo only at even popcount or when consecutive.  Tests
+require the two to agree exactly.  The max-ones search is a
+branch-and-bound over cliques containing 0 that bounds each candidate
+by greedy colour classes.  The counter's mirror step and the colouring
+both read each vertex's lower neighbours from one reversed mask of P.
 """
 
 from __future__ import annotations
@@ -116,29 +117,35 @@ def _reversed_p(bits: int, n: int) -> int:
     return int(format(bits & ((1 << (n - 1)) - 1), f"0{n - 1}b")[::-1], 2) << 1
 
 
-def _count_cliques(bits: int, n: int, budget: int, memo: dict) -> int:
+def _count_cliques(bits: int, n: int, budget: int, memo: dict,
+                   nodes: int) -> tuple[int, int]:
     # f(A) = cliques inside the candidate mask A, the empty one included,
     # depends only on A up to translation and reflection (the graph is
     # invariant under both), so the memo is keyed on the smaller of A
-    # shifted down to bit 0 and its mirror over its own span, and that
-    # representative is expanded, once.  Split on its lowest vertex 0:
-    # f(A) = f(A - {0}) + f((A >> 1) & bits), each side shifted down
-    # again.  A state carries its mirror M, so no mask is reversed: with
-    # h the top bit of A, the mirror of A - {0} is M - {h}, and that of
-    # the neighbours of 0 is M & rrow[h], shifted down.  A child missing
-    # from the memo opens a frame (A, with-child key and mirror, f of the
-    # without-child or None) that takes the child's value when it is
-    # done; the with-child is looked up once the without-child is known,
-    # as that subtree may add it.  The seeded memo[0] == 1 is not a node.
+    # shifted down to bit 0 and its mirror over its own span.  Split on
+    # its lowest vertex 0: f(A) = f(A - {0}) + f((A >> 1) & bits), each
+    # side shifted down again; each such sum is one node, counted on top
+    # of `nodes` and returned with f.  A state carries its mirror M, so
+    # no mask is reversed: with h the top bit of A, the mirror of A - {0}
+    # is M - {h}, and that of the neighbours of 0 is M & rrow[h], shifted
+    # down.  A child missing from the memo opens a frame (the key that
+    # stores f(A), 0 when A is not stored; with-child key and mirror; f
+    # of the without-child or None) that takes the child's value when it
+    # is done; the with-child is looked up once the without-child is
+    # known, as that subtree may add it.  A without-child is stored only
+    # at even popcount or when consecutive (count_words says why).
     root = (1 << n) - 1
     if root in memo:
-        return memo[root]
+        return memo[root], nodes
     rev = _reversed_p(bits, n)
     rrow = [rev >> (n - h) for h in range(n)]
     get = memo.get
     frames = []
-    a = m = root  # the state to expand, as (key, mirror), key <= mirror
+    a = m = key = root  # the state to expand, a <= its mirror m
     while True:
+        nodes += 1
+        if nodes > budget:
+            raise BudgetError("word-count budget exhausted", nodes)
         h = a.bit_length() - 1
         rest = a >> 1
         # ((x & -x) >> 1).bit_length() is the number of trailing zeros
@@ -155,26 +162,25 @@ def _count_cliques(bits: int, n: int, budget: int, memo: dict) -> int:
             sub, m = m, sub
         value = get(sub)
         if value is None:
-            frames.append((a, w, wm, None))
+            frames.append((key, w, wm, None))
             a = sub
+            key = sub if not sub & (sub + 1) or not sub.bit_count() & 1 else 0
             continue
         # value is f of a's without-child, (w, wm) its with-child
         while True:
             with_0 = get(w)
             if with_0 is None:
-                frames.append((a, w, wm, value))
-                a, m = w, wm
+                frames.append((key, w, wm, value))
+                a, m, key = w, wm, w
                 break
             value += with_0
             # a is done: finish the frames that waited for their with-child
             while True:
-                memo[a] = value
-                if len(memo) > budget + 1:
-                    raise BudgetError("word-count budget exhausted",
-                                      len(memo) - 1)
+                if key:
+                    memo[key] = value
                 if not frames:
-                    return value
-                a, w, wm, without = frames.pop()
+                    return value, nodes
+                key, w, wm, without = frames.pop()
                 if without is None:
                     break
                 value += without
@@ -197,24 +203,31 @@ def count_words(view: PSetView, n: int, mode: str = "optimized",
         candidate masks up to translation and reflection.  The two must
         agree exactly.
     budget : int
-        Node cap for optimized mode.  A node is one memo entry added (a
-        distinct nonempty candidate mask up to translation and
-        reflection), so the budget also caps the memo.  Exhaustion
-        raises :class:`BudgetError` with ``nodes == budget + 1``; a
-        partial count is never returned.  An entry costs about 111
-        bytes at the peak (tracemalloc, CPython 3.11, co_squares at
-        n = 68), so the default budget admits a memo of about 1.1 GB.
-        The budget counts entries, not bits, so on periodic P memory
+        Node cap for optimized mode.  A node is one expansion: a
+        nonempty candidate mask, up to translation and reflection, whose
+        two children are summed.  The child that drops the lowest vertex
+        enters the memo only when its popcount is even or its vertices
+        are consecutive; every other state does.  A state left out has
+        odd popcount, so its parent has even popcount, enters the memo
+        and is expanded once: entries <= nodes <= 2 * entries, and the
+        budget caps work and memo alike.  The consecutive states are the
+        roots of the shorter lengths, so a count at n keeps each count
+        below n.  Exhaustion raises :class:`BudgetError` with
+        ``nodes == budget + 1``; a partial count is never returned.  A
+        node costs about 51 bytes at the peak (tracemalloc, CPython
+        3.11, co_squares at n = 68: 23.7 MiB for 482,776 nodes), so the
+        default budget admits about 0.5 GB.
+        The budget counts nodes, not bits, so on periodic P memory
         grows as n² inside it: about 1.5n keys of up to n bits, values
         of up to n/2 bits on multiples_2, and the n-row mirror table
         built before the first node (tracemalloc peak on multiples_2:
         1.46, 4.75 and 17.7 MiB at n = 2000, 4000 and 8000).
     """
-    return _count_words(view, n, mode, budget, {0: 1})
+    return _count_words(view, n, mode, budget, {0: 1}, 0)[0]
 
 
 def _count_words(view: PSetView, n: int, mode: str, budget: int,
-                 memo: dict) -> int:
+                 memo: dict, nodes: int) -> tuple[int, int]:
     check_int(n, "word length must be a non-negative integer", 0)
     check_int(budget, "budget must be an integer")
     if n > view.horizon:
@@ -222,9 +235,9 @@ def _count_words(view: PSetView, n: int, mode: str, budget: int,
     if mode == "naive":
         if n > NAIVE_MAX_N:
             raise ValidationError(f"naive mode is capped at n <= {NAIVE_MAX_N}")
-        return _count_naive(view, n)
+        return _count_naive(view, n), nodes
     if mode == "optimized":
-        return _count_cliques(view.bits, n, budget, memo)
+        return _count_cliques(view.bits, n, budget, memo, nodes)
     raise ValidationError(f"unknown mode {mode!r}")
 
 
@@ -348,11 +361,12 @@ def entropy_profile(view: PSetView, n_grid: Sequence[int],
     """Exact counts and entropy estimates over a grid of word lengths.
 
     In optimized mode the counts share one memo over the ascending grid,
-    so ``budget`` caps the memo entries added over the whole grid; each
+    so ``budget`` caps the nodes expanded over the whole grid; each
     ``max_ones`` call gets its own ``budget``.  Dropping vertex 0 from the
-    full mask of length n gives that of n - 1, so the memo of each n holds
-    those of all smaller n: the shared memo runs out where a standalone
-    ``count_words`` would, with the same :class:`BudgetError`.
+    full mask of length n gives that of n - 1, and full masks always enter
+    the memo, so after each n the shared memo and node count are those of
+    a standalone ``count_words`` at n: it runs out where that would, with
+    the same :class:`BudgetError`.
     """
     grid = list(n_grid)
     for n in grid:
@@ -361,9 +375,9 @@ def entropy_profile(view: PSetView, n_grid: Sequence[int],
     if not grid:
         raise ValidationError("n_grid must be nonempty")
     rows = []
-    memo = {0: 1}
+    memo, nodes = {0: 1}, 0
     for n in grid:
-        count = _count_words(view, n, mode, budget, memo)
+        count, nodes = _count_words(view, n, mode, budget, memo, nodes)
         omega, _ = max_ones(view, n, budget=budget)
         rows.append(ProfileRow(n=n, count=count,
                                entropy=math.log2(count) / n,

@@ -19,6 +19,7 @@ from spacelab import (
     max_ones,
     transitive_gap_check,
 )
+from spacelab.language import _count_cliques
 from spacelab.psets import (
     Complement,
     DiffSet,
@@ -135,24 +136,35 @@ def test_count_budget():
 
 
 def test_count_budget_boundary_frozen():
-    # the memo of co_squares at n = 56 holds 63,332 entries, each keyed
+    # the count of co_squares at n = 56 expands 70,384 states, each keyed
     # up to translation and reflection; one fewer is "don't know"
     view = build_pset(Complement(of=Squares()), 56)
     with pytest.raises(BudgetError) as err:
-        count_words(view, 56, budget=63_331)
-    assert err.value.nodes == 63_332
-    assert count_words(view, 56, budget=63_332) == 24_269_734
+        count_words(view, 56, budget=70_383)
+    assert err.value.nodes == 70_384
+    assert count_words(view, 56, budget=70_384) == 24_269_734
 
 
 def test_count_budget_boundary_frozen_bohr():
-    # measured before each state was expanded once: the memo of
-    # bohr_golden_quarter at n = 1000 holds 32,504 entries, and the
-    # expansion order does not move the point where a budget runs out
+    # the count of bohr_golden_quarter at n = 1000 expands 34,119 states;
+    # which states the memo keeps depends on the order in which the
+    # counter reaches them, so this pin holds for its fixed child order
     view = build_pset(load_member("bohr_golden_quarter"), 1000)
     with pytest.raises(BudgetError) as err:
-        count_words(view, 1000, budget=32_503)
-    assert err.value.nodes == 32_504
-    assert count_words(view, 1000, budget=32_504) == 12_988_649_786_243
+        count_words(view, 1000, budget=34_118)
+    assert err.value.nodes == 34_119
+    assert count_words(view, 1000, budget=34_119) == 12_988_649_786_243
+
+
+def test_count_memo_entries_frozen():
+    # co_squares at n = 64: a without-child is stored only at even
+    # popcount or when consecutive, so 157,998 entries serve 245,700
+    # nodes, and at most one entry is held per node
+    view = build_pset(Complement(of=Squares()), 64)
+    memo = {0: 1}
+    assert _count_cliques(view.bits, 64, 245_700, memo, 0) == (
+        173_142_751, 245_700)
+    assert len(memo) - 1 == 157_998
 
 
 @pytest.mark.parametrize("n,count", [(64, 173_142_751), (68, 420_693_164)])

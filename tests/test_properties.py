@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spacelab import (
+    DEFAULT_BUDGET,
     MEMBERS,
     BudgetError,
     Configuration,
@@ -40,6 +41,7 @@ from spacelab import (
 from spacelab.cli import main
 from spacelab.detect import StructureWitness
 from spacelab.dynamics import OrbitPoint, random_point
+from spacelab.language import _count_cliques
 from spacelab.psets import (Bohr, Complement, DeltaOf, DiffSet, Explicit,
                             FiniteSums, Intersect, Multiples, Squares, Union,
                             _cliques, _least_extremes)
@@ -916,29 +918,38 @@ def test_profile_budget_matches_standalone_sequence(case, data):
                     for row in profile.rows] == expected
 
 
-def ref_memo_entries(ps, n):
-    """Distinct keys of the nonempty candidate sets that the counter
-    reaches from {0..n-1}.  The key of S is the smaller of S shifted to
-    start at 0 and S mirrored to start at 0, each read as a bitmask; the
-    set that key encodes is expanded by dropping its lowest vertex or by
-    keeping only that vertex's neighbours."""
-    seen = set()
-    todo = [frozenset(range(n))]
-    while todo:
-        cand = todo.pop()
+def ref_nodes(ps, n):
+    """Nodes the counter expands for {0..n-1}, replayed by recursion on
+    sets.  The key of S is the smaller of S shifted to start at 0 and S
+    mirrored to start at 0, each read as a bitmask.  A set whose key is
+    not kept yet is one node: the set that key encodes visits first its
+    rest without its lowest vertex, then that vertex's neighbours in the
+    rest, and its key is kept afterwards unless the set was reached as a
+    rest of odd size whose vertices are not consecutive.  The empty set
+    is kept from the start."""
+    kept = set()
+    nodes = 0
+
+    def visit(cand, keep):
+        nonlocal nodes
         if not cand:
-            continue
+            return
         low, high = min(cand), max(cand)
         key = min(sum(1 << (v - low) for v in cand),
                   sum(1 << (high - v) for v in cand))
-        if key in seen:
-            continue
-        seen.add(key)
+        if key in kept:
+            return
+        nodes += 1
         rep = [v for v in range(high - low + 1) if key >> v & 1]
         rest = rep[1:]
-        todo.append(frozenset(rest))
-        todo.append(frozenset(v for v in rest if v in ps))
-    return len(seen)
+        visit(frozenset(rest), len(rest) % 2 == 0
+              or rest[-1] - rest[0] + 1 == len(rest))
+        visit(frozenset(v for v in rest if v in ps), True)
+        if keep:
+            kept.add(key)
+
+    visit(frozenset(range(n)), True)
+    return nodes
 
 
 @given(case=small_sets(), data=st.data())
@@ -946,7 +957,7 @@ def ref_memo_entries(ps, n):
 def test_budget_exhaustion_reports_budget_plus_one(case, data):
     view, ps = case
     n = data.draw(st.integers(min_value=0, max_value=min(12, view.horizon)))
-    entries = ref_memo_entries(ps, n)
+    nodes = ref_nodes(ps, n)
     for search in (count_words, max_ones):
         answers = []
         for budget in range(51):
@@ -956,13 +967,36 @@ def test_budget_exhaustion_reports_budget_plus_one(case, data):
                 assert exc.nodes == budget + 1
                 answers.append(None)
             if search is count_words:
-                # one node per memo entry: the count needs exactly `entries`
-                assert (answers[-1] is None) == (budget < entries)
+                # one node per expansion: the count needs exactly `nodes`
+                assert (answers[-1] is None) == (budget < nodes)
         # a larger budget never turns an answer into "don't know"
         done = [answer is not None for answer in answers]
         assert done == sorted(done)
         assert {answer for answer in answers if answer is not None} <= {
             search(view, n)}
+
+
+@given(case=small_sets(), data=st.data())
+@SETTINGS
+def test_count_nodes_bound_memo_and_add_up_over_a_grid(case, data):
+    # a state left out of the memo has a parent of even popcount, which
+    # is stored and expanded once, so entries <= nodes <= 2 * entries;
+    # an ascending grid sharing one memo keeps, and has expanded, at
+    # each length exactly what a standalone count at that length has
+    view, ps = case
+    grid = sorted(set(data.draw(st.lists(
+        st.integers(min_value=1, max_value=view.horizon),
+        min_size=1, max_size=5))))
+    bits, shared, total = view.bits, {0: 1}, 0
+    for n in grid:
+        memo = {0: 1}
+        count, nodes = _count_cliques(bits, n, DEFAULT_BUDGET, memo, 0)
+        assert nodes == ref_nodes(ps, n)
+        assert len(memo) - 1 <= nodes <= 2 * (len(memo) - 1)
+        assert _count_cliques(bits, n, DEFAULT_BUDGET, shared, total) == (
+            count, nodes)
+        assert shared == memo
+        total = nodes
 
 
 # -- the CLI contract on random small inputs ---------------------------------
