@@ -7,8 +7,9 @@ bounded-search outcome, never a proof of non-existence: the objects
 certified here (difference chains, IP generators, IP-IP generators) are
 finite stand-ins for infinite structures.
 
-Searches carry an explicit node budget; running out raises
-:class:`BudgetError`, which is distinct from "no witness in bound".
+Searches carry an explicit node budget of at least 0; running out
+raises :class:`BudgetError`, which is distinct from "no witness in
+bound".
 """
 
 from __future__ import annotations
@@ -181,7 +182,7 @@ def _check_search(view: PSetView, search_bound: int, budget: int) -> None:
     if search_bound > view.horizon:
         raise ValidationError(
             f"search bound {search_bound} exceeds horizon {view.horizon}")
-    check_int(budget, "budget must be an integer")
+    check_int(budget, "budget must be a non-negative integer", 0)
 
 
 def _find_generator(view: PSetView, depth: int, search_bound: int,

@@ -12,11 +12,12 @@ counter whose memo is keyed on candidate masks up to translation and
 reflection, so that translates and mirror images share one entry, and
 that expands each entry once on an explicit stack, handing its value
 straight to its parent's frame; a state reached by dropping a vertex
-enters the memo only at even popcount or when consecutive.  Tests
-require the two to agree exactly.  The max-ones search is a
-branch-and-bound over cliques containing 0 that bounds each candidate
-by greedy colour classes.  The counter's mirror step and the colouring
-both read each vertex's lower neighbours from one reversed mask of P.
+enters the memo only at even popcount or when consecutive, and equal
+counts are stored as one int object.  Tests require the two to agree
+exactly.  The max-ones search is a branch-and-bound over cliques
+containing 0 that bounds each candidate by greedy colour classes.  The
+counter's mirror step and the colouring both read each vertex's lower
+neighbours from one reversed mask of P.
 """
 
 from __future__ import annotations
@@ -133,13 +134,15 @@ def _count_cliques(bits: int, n: int, budget: int, memo: dict,
     # of the without-child or None) that takes the child's value when it
     # is done; the with-child is looked up once the without-child is
     # known, as that subtree may add it.  A without-child is stored only
-    # at even popcount or when consecutive (count_words says why).
+    # at even popcount or when consecutive (count_words says why).  Each
+    # stored value passes through `same`, so equal counts share one int.
     root = (1 << n) - 1
     if root in memo:
         return memo[root], nodes
     rev = _reversed_p(bits, n)
     rrow = [rev >> (n - h) for h in range(n)]
     get = memo.get
+    same = {}.setdefault
     frames = []
     a = m = key = root  # the state to expand, a <= its mirror m
     while True:
@@ -177,7 +180,7 @@ def _count_cliques(bits: int, n: int, budget: int, memo: dict,
             # a is done: finish the frames that waited for their with-child
             while True:
                 if key:
-                    memo[key] = value
+                    memo[key] = value = same(value, value)
                 if not frames:
                     return value, nodes
                 key, w, wm, without = frames.pop()
@@ -212,16 +215,23 @@ def count_words(view: PSetView, n: int, mode: str = "optimized",
         and is expanded once: entries <= nodes <= 2 * entries, and the
         budget caps work and memo alike.  The consecutive states are the
         roots of the shorter lengths, so a count at n keeps each count
-        below n.  Exhaustion raises :class:`BudgetError` with
-        ``nodes == budget + 1``; a partial count is never returned.  A
-        node costs about 51 bytes at the peak (tracemalloc, CPython
-        3.11, co_squares at n = 68: 23.7 MiB for 482,776 nodes), so the
-        default budget admits about 0.5 GB.
+        below n.  A negative budget raises :class:`ValidationError`;
+        exhaustion raises :class:`BudgetError` with
+        ``nodes == budget + 1``, and a partial count is never returned.
+        Each value is stored through a table of the values stored so
+        far in the call, so equal counts are one int object: CPython
+        shares only the ints up to 256, and most counts repeat a little
+        above that (14,395 distinct values in 309,330 entries at
+        co_squares n = 68).  A node costs about 45 bytes at the peak
+        (tracemalloc, CPython 3.11, co_squares at n = 68: 20.9 MiB for
+        482,776 nodes), so the default budget admits about 0.45 GB.
         The budget counts nodes, not bits, so on periodic P memory
         grows as n² inside it: about 1.5n keys of up to n bits, values
         of up to n/2 bits on multiples_2, and the n-row mirror table
         built before the first node (tracemalloc peak on multiples_2:
-        1.46, 4.75 and 17.7 MiB at n = 2000, 4000 and 8000).
+        1.58, 4.88 and 17.8 MiB at n = 2000, 4000 and 8000).  Its
+        counts seldom repeat, so there the table of stored values costs
+        about 0.13 MiB more than it saves.
     """
     return _count_words(view, n, mode, budget, {0: 1}, 0)[0]
 
@@ -229,7 +239,7 @@ def count_words(view: PSetView, n: int, mode: str = "optimized",
 def _count_words(view: PSetView, n: int, mode: str, budget: int,
                  memo: dict, nodes: int) -> tuple[int, int]:
     check_int(n, "word length must be a non-negative integer", 0)
-    check_int(budget, "budget must be an integer")
+    check_int(budget, "budget must be a non-negative integer", 0)
     if n > view.horizon:
         raise ValidationError(f"word length {n} exceeds horizon {view.horizon}")
     if mode == "naive":
@@ -277,7 +287,7 @@ def max_ones(view: PSetView, n: int,
     without ``one`` and 60% slower making ``drop`` rows as it colours.
     """
     check_int(n, "window length must be a non-negative integer", 0)
-    check_int(budget, "budget must be an integer")
+    check_int(budget, "budget must be a non-negative integer", 0)
     if n > view.horizon:
         raise ValidationError(f"window length {n} exceeds horizon {view.horizon}")
     if n == 0:

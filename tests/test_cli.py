@@ -550,6 +550,8 @@ def test_one_point_plot(capsys, tmp_path):
     ("zero-entropy-proximal", 'block_grid=["a"]'),
     ("squares-zero-entropy", "n_grid=[]"),
     ("squares-zero-entropy", "n_grid=[0]"),
+    # refused, not run as a search that gives up at its first node
+    ("squares-zero-entropy", "deep_budget=-5"),
     ("positive-entropy-no-periodic", 'density_floor="x"'),
     ("positive-entropy-no-periodic", 'density_floor="1/0"'),
     ("positive-entropy-no-periodic", "forbidden=5"),

@@ -1,10 +1,12 @@
 """Every integer argument of the library rejects a bool, a float and a
-string with ValidationError, never a TypeError, a budget run or an answer.
+string with ValidationError, never a TypeError, a budget run or an answer;
+every budget also rejects a negative value.
 """
 
 import pytest
 
 from spacelab import (
+    BudgetError,
     Configuration,
     ValidationError,
     build_pset,
@@ -88,3 +90,16 @@ CALLS = {
 def test_integer_argument_rejects_non_integers(argument, value):
     with pytest.raises(ValidationError):
         CALLS[argument](value)
+
+
+@pytest.mark.parametrize("argument", [
+    "count_words budget", "entropy_profile budget", "max_ones budget",
+    "find_delta_chain budget", "find_ip_generator budget",
+    "find_ip_ip_generator budget"])
+def test_budget_rejects_negative_values(argument):
+    with pytest.raises(ValidationError, match="non-negative"):
+        CALLS[argument](-3)
+    # budget 0 is a valid "don't know" before the first node
+    with pytest.raises(BudgetError) as err:
+        CALLS[argument](0)
+    assert err.value.nodes == 1

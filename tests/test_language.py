@@ -159,12 +159,15 @@ def test_count_budget_boundary_frozen_bohr():
 def test_count_memo_entries_frozen():
     # co_squares at n = 64: a without-child is stored only at even
     # popcount or when consecutive, so 157,998 entries serve 245,700
-    # nodes, and at most one entry is held per node
+    # nodes, and at most one entry is held per node; equal counts are
+    # stored as one int object
     view = build_pset(Complement(of=Squares()), 64)
     memo = {0: 1}
     assert _count_cliques(view.bits, 64, 245_700, memo, 0) == (
         173_142_751, 245_700)
     assert len(memo) - 1 == 157_998
+    values = memo.values()
+    assert len(set(values)) == len({id(v) for v in values}) == 9_430
 
 
 @pytest.mark.parametrize("n,count", [(64, 173_142_751), (68, 420_693_164)])
