@@ -9,7 +9,8 @@ invocations produce byte-identical outputs, manifest included.
 
 Exit codes: 0 success, 2 validation error (including usage errors),
 3 "don't know": a search budget ran out or memory did.  Errors are
-emitted as JSON on stderr.
+emitted as JSON on stderr.  Integers of any size are read and written
+exactly.
 """
 
 from __future__ import annotations
@@ -275,6 +276,10 @@ def _parse_param(text: str):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError:
+        # the decoder recurses once per nesting level
+        raise ValidationError(f"--param {key} is nested too deeply to "
+                              "decode") from None
     return key, value
 
 
@@ -446,6 +451,19 @@ def _view(args):
 
 
 def main(argv=None) -> int:
+    # integers of any size are read and written exactly, so the digit
+    # limit of Python 3.10.7 and later is lifted for this call only
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _main(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _main(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -14,9 +14,11 @@ slack absorbs.
 
 The per-length tables of c_n, h_n and omega_n are the rows of
 ``language.entropy_profile`` in ``n_grid`` order, repeats kept; budgets
-run out as in a loop over the grid.  A runner returns its observations,
-checks and notes, and ``run_experiment`` alone names the report and sets
-its verdict.
+run out as in a loop over the grid.  A runner appends its checks, as
+(label, ok) pairs, and its notes to the lists it is given, and returns
+its table as (columns, rows), with a dict of any other observations as a
+third item; ``run_experiment`` alone assembles the report and sets its
+verdict.
 """
 
 from __future__ import annotations
@@ -99,18 +101,6 @@ def _merge(defaults: dict, overrides: dict | None) -> dict:
     return params
 
 
-def _finish(exp_id: str, params: dict, observations: dict, checks: list,
-            notes: list) -> ExperimentReport:
-    failed = [label for label, ok in checks if not ok]
-    return ExperimentReport(
-        experiment=exp_id, params=params,
-        observations={**observations, "checks": [[label, bool(ok)]
-                                                 for label, ok in checks]},
-        verdict="violation" if failed else "consistent",
-        notes=tuple(notes) + tuple(f"failed check: {label}"
-                                   for label in failed))
-
-
 def _trend_down(rows: list) -> bool:
     # the trend rule on h_n = log2(c_n) / n, decided on integers:
     # log2(a) / m <= log2(b) / k  iff  a^k <= b^m
@@ -136,10 +126,10 @@ def _binom_tail(n: int, k: int) -> int:
     return sum(math.comb(n, j) for j in range(0, min(n, k) + 1))
 
 
-def _exp_delta_kills_density(params: dict, budget: int) -> tuple:
+def _exp_delta_kills_density(params: dict, budget: int, checks: list,
+                             notes: list) -> tuple:
     k, horizon = params["k"], params["horizon"]
     view = build_pset(Complement(Multiples(k)), horizon)
-    checks = []
     rows = []
     for n in params["n_grid"]:
         omega, witness = max_ones(view, n, budget=budget)
@@ -152,16 +142,14 @@ def _exp_delta_kills_density(params: dict, budget: int) -> tuple:
                    all(b >= c for b, c in zip(banach, banach[1:]))))
     checks.append(("witness banach profile halves",
                    banach[-1] <= banach[0] / 2))
-    observations = {
-        "table": {"columns": ["n", "omega_n", "omega_over_n"], "rows": rows},
+    return ["n", "omega_n", "omega_over_n"], rows, {
         "witness_ones": list(witness.ones),
         "witness_banach": [[w, frac_str(d)] for w, d in dens.banach_profile],
     }
-    return observations, checks, []
 
 
-def _exp_zero_density_zero_entropy(params: dict, budget: int) -> tuple:
-    checks = []
+def _exp_zero_density_zero_entropy(params: dict, budget: int, checks: list,
+                                   notes: list) -> tuple:
     rows = []
     for k in params["k_grid"]:
         view = build_pset(Complement(Multiples(k)), params["horizon"])
@@ -171,14 +159,11 @@ def _exp_zero_density_zero_entropy(params: dict, budget: int) -> tuple:
             checks.append((f"k={k}: c({r.n}) polynomially bounded",
                            r.count <= _binom_tail(r.n, k)))
         checks.append((f"k={k}: h_n trends to zero", _trend_down(profile)))
-    observations = {
-        "table": {"columns": ["k", "n", "c_n", "h_n"], "rows": rows},
-    }
-    return observations, checks, []
+    return ["k", "n", "c_n", "h_n"], rows
 
 
-def _exp_density_entropy_bound(params: dict, budget: int) -> tuple:
-    checks = []
+def _exp_density_entropy_bound(params: dict, budget: int, checks: list,
+                               notes: list) -> tuple:
     rows = []
     for k in params["k_grid"]:
         view = build_pset(Multiples(k), params["horizon"])
@@ -187,11 +172,7 @@ def _exp_density_entropy_bound(params: dict, budget: int) -> tuple:
             # h_n >= omega/n - log2(n+1)/n, exactly: (n+1) c(n) >= 2^omega
             checks.append((f"k={k}, n={r.n}: (n+1)c(n) >= 2^omega",
                            (r.n + 1) * r.count >= 1 << r.omega))
-    observations = {
-        "table": {"columns": ["k", "n", "c_n", "omega_n", "omega_over_n"],
-                  "rows": rows},
-    }
-    return observations, checks, []
+    return ["k", "n", "c_n", "omega_n", "omega_over_n"], rows
 
 
 def _classify_ratio(ratio: float) -> str:
@@ -202,10 +183,9 @@ def _classify_ratio(ratio: float) -> str:
     return "ambiguous"
 
 
-def _exp_entropy_iff_banach(params: dict, budget: int) -> tuple:
-    checks = []
+def _exp_entropy_iff_banach(params: dict, budget: int, checks: list,
+                            notes: list) -> tuple:
     rows = []
-    notes = []
     for name, spec in corpus.iter_corpus():
         view = build_pset(spec, params["horizon"])
         profile = _profile(view, params["n_grid"], budget)
@@ -223,16 +203,13 @@ def _exp_entropy_iff_banach(params: dict, budget: int) -> tuple:
         notes.append(f"{name}: h trend {_classify_ratio(h_ratio)} "
                      f"({h_ratio:.3f}), omega/n trend "
                      f"{_classify_ratio(w_ratio)} ({w_ratio:.3f})")
-    observations = {
-        "table": {"columns": ["member", "n", "c_n", "omega_n"], "rows": rows},
-    }
-    return observations, checks, notes
+    return ["member", "n", "c_n", "omega_n"], rows
 
 
-def _exp_zero_entropy_proximal(params: dict, budget: int) -> tuple:
+def _exp_zero_entropy_proximal(params: dict, budget: int, checks: list,
+                               notes: list) -> tuple:
     horizon = params["horizon"]
     blocks = list(params["block_grid"])
-    checks = []
     rows = []
     for name in params["members"]:
         view = build_pset(corpus.load_member(name), horizon)
@@ -245,17 +222,11 @@ def _exp_zero_entropy_proximal(params: dict, budget: int) -> tuple:
                             ["-" if m is None else m for m in hits])
                 checks.append((f"{name}: {x.label} vs {y.label} hits all "
                                "blocks", None not in hits))
-    observations = {
-        "table": {"columns": ["member", "x", "y"] +
-                  [f"m_at_block_{b}" for b in blocks],
-                  "rows": rows},
-    }
-    return observations, checks, []
+    return ["member", "x", "y"] + [f"m_at_block_{b}" for b in blocks], rows
 
 
-def _exp_transitive_needs_ipip(params: dict, budget: int) -> tuple:
-    checks = []
-    notes = []
+def _exp_transitive_needs_ipip(params: dict, budget: int, checks: list,
+                               notes: list) -> tuple:
     ipip_view = build_pset(corpus.load_member(params["ipip_member"]),
                            params["ipip_horizon"])
     rep = transitive_gap_check(ipip_view, params["word_len_cap"],
@@ -278,25 +249,21 @@ def _exp_transitive_needs_ipip(params: dict, budget: int) -> tuple:
     if defect.least_failing is not None:
         notes.append("defect instance least failing pair: "
                      f"{defect.least_failing[0]} {defect.least_failing[1]}")
-    observations = {
-        "table": {"columns": ["instance", "total_pairs", "joinable_pairs"],
-                  "rows": [["ip_ip", rep.total_pairs, rep.joinable_pairs],
-                           ["defect", defect.total_pairs,
-                            defect.joinable_pairs]]},
-    }
-    return observations, checks, notes
+    return (["instance", "total_pairs", "joinable_pairs"],
+            [["ip_ip", rep.total_pairs, rep.joinable_pairs],
+             ["defect", defect.total_pairs, defect.joinable_pairs]])
 
 
-def _exp_squares_zero_entropy(params: dict, budget: int) -> tuple:
+def _exp_squares_zero_entropy(params: dict, budget: int, checks: list,
+                              notes: list) -> tuple:
     lang_view = build_pset(Complement(Squares()), params["lang_horizon"])
     profile = _profile(lang_view, params["n_grid"], budget)
     first, last = profile[0], profile[-1]
-    notes = []
     # h_last < h_first, exactly: c_last^n_first < c_first^n_last
-    checks = [("h_n strictly decreases across the grid",
-               last.count ** first.n < first.count ** last.n),
-              ("omega/n strictly decreases across the grid",
-               last.omega_over_n < first.omega_over_n)]
+    checks.append(("h_n strictly decreases across the grid",
+                   last.count ** first.n < first.count ** last.n))
+    checks.append(("omega/n strictly decreases across the grid",
+                   last.omega_over_n < first.omega_over_n))
 
     search_view = build_pset(Squares(), params["search_bound"])
     depth = params["chain_depth"]
@@ -316,17 +283,12 @@ def _exp_squares_zero_entropy(params: dict, budget: int) -> tuple:
     else:
         outcome = "none" if deep is None else f"{list(deep.payload)}"
         notes.append(f"depth-{params['deep_depth']} search outcome: {outcome}")
-    observations = {
-        "table": {"columns": ["n", "c_n", "h_n", "omega_n"],
-                  "rows": [[r.n, r.count, float17(r.entropy), r.omega]
-                           for r in profile]},
-    }
-    return observations, checks, notes
+    return (["n", "c_n", "h_n", "omega_n"],
+            [[r.n, r.count, float17(r.entropy), r.omega] for r in profile])
 
 
-def _exp_positive_entropy_no_periodic(params: dict, budget: int) -> tuple:
-    checks = []
-    notes = []
+def _exp_positive_entropy_no_periodic(params: dict, budget: int,
+                                      checks: list, notes: list) -> tuple:
     s_horizon = params["s_horizon"]
     if params["candidate_set"] is not None:
         spec = DiffSet(params["candidate_set"])
@@ -372,19 +334,17 @@ def _exp_positive_entropy_no_periodic(params: dict, budget: int) -> tuple:
                               rep.bohr_size, rep.in_p,
                               "-" if rep.least_missing is None
                               else rep.least_missing])
-    observations = {
-        "table": {"columns": ["k", "failing_multiple"], "rows": rows},
+    return ["k", "failing_multiple"], rows, {
         "bohr_avoidance": {"columns": ["alpha", "window", "bohr_size",
                                        "in_p", "least_missing"],
                            "rows": bohr_rows},
         "candidate_size": len(s_set),
     }
-    return observations, checks, notes
 
 
-def _exp_high_density_trivial_dynamics(params: dict, budget: int) -> tuple:
+def _exp_high_density_trivial_dynamics(params: dict, budget: int,
+                                       checks: list, notes: list) -> tuple:
     horizon = params["horizon"]
-    checks = []
     rows = []
     for k in params["k_grid"]:
         view = build_pset(Complement(Multiples(k)), horizon)
@@ -398,15 +358,12 @@ def _exp_high_density_trivial_dynamics(params: dict, budget: int) -> tuple:
                        greedy.ones == tuple(range(k))))
         rows.append([k, frac_str(prefix), frac_str(dens.lower_est),
                      frac_str(dens.upper_est), len(greedy.ones)])
-    observations = {
-        "table": {"columns": ["k", "prefix_density", "lower_est",
-                              "upper_est", "greedy_ones"], "rows": rows},
-    }
-    return observations, checks, []
+    return ["k", "prefix_density", "lower_est", "upper_est",
+            "greedy_ones"], rows
 
 
-# id -> (runner, pinned default parameters); a runner returns its
-# observations, its checks as (label, ok) pairs and its notes
+# id -> (runner, pinned default parameters); runner(params, budget,
+# checks, notes) returns (columns, rows) or (columns, rows, more)
 _EXPERIMENTS = {
     "delta-kills-density": (_exp_delta_kills_density, {
         "k": 3,
@@ -493,13 +450,23 @@ def run_experiment(exp_id: str, overrides: dict | None = None,
         raise ValidationError(f"unknown experiment {exp_id!r}")
     runner, defaults = _EXPERIMENTS[exp_id]
     params = _merge(defaults, overrides)
+    checks, notes = [], []
     try:
-        observations, checks, notes = runner(params, budget)
+        # more is empty, or holds the dict of the runner's other observations
+        columns, rows, *more = runner(params, budget, checks, notes)
     except BudgetError as err:
         return ExperimentReport(exp_id, params, {"checks": []}, "inconclusive",
                                 (f"budget exhausted after {err.nodes} nodes: "
                                  f"{err}",))
-    return _finish(exp_id, params, observations, checks, notes)
+    failed = [label for label, ok in checks if not ok]
+    return ExperimentReport(
+        experiment=exp_id, params=params,
+        observations={"table": {"columns": columns, "rows": rows},
+                      **dict(*more),
+                      "checks": [[label, bool(ok)] for label, ok in checks]},
+        verdict="violation" if failed else "consistent",
+        notes=tuple(notes) + tuple(f"failed check: {label}"
+                                   for label in failed))
 
 
 def run_all(budget: int = DEFAULT_BUDGET) -> list:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -50,6 +51,34 @@ def test_lang_deeper_than_the_stack(capsys, cmd):
         assert out == f"{2 ** 1500}\n"
     else:
         assert json.loads(out)["ones"] == list(range(1500))
+
+
+def test_lang_count_past_the_int_digit_limit(capsys):
+    # 2**14500 has 4,365 digits, past the interpreter's default limit of
+    # 4,300 for int-to-text conversion; Decimal compares with int exactly
+    code, out, err = run_cli(capsys, "lang", "count", "--spec",
+                             '{"type":"multiples","k":1}', "--n", "14500")
+    assert (code, err) == (0, "")
+    assert out.endswith("\n") and out[:-1].isdigit()
+    assert Decimal(out) == 2 ** 14500
+
+
+def test_spec_integer_past_the_int_digit_limit(capsys):
+    k = "1" + "0" * 5000
+    code, out, err = run_cli(capsys, "pset", "density", "--spec",
+                             f'{{"type":"multiples","k":{k}}}',
+                             "--horizon", "10", "--window-grid", "2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["prefix_final"] == "0/1"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int digit limit before Python 3.10.7")
+@pytest.mark.parametrize("spec", [M2, "{"])
+def test_main_restores_the_int_digit_limit(capsys, spec):
+    limit = sys.get_int_max_str_digits()
+    run_cli(capsys, "lang", "count", "--spec", spec, "--n", "4")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_detect_delta_witness_shape(capsys):
@@ -561,6 +590,9 @@ def test_one_point_plot(capsys, tmp_path):
     ("zero-entropy-proximal", "members=[]"),
     ("density-entropy-bound", "k_grid=[]"),
     ("high-density-trivial-dynamics", "k_grid=[]"),
+    # deeper than the decoder can recurse
+    pytest.param("squares-zero-entropy", "n_grid=" + "[" * 100_000,
+                 id="squares-zero-entropy-n_grid=[[[..."),
 ])
 def test_exp_run_bad_param_exits_2(capsys, experiment, param):
     code, out, err = run_cli(capsys, "exp", "run", experiment,

@@ -24,6 +24,13 @@ EXPECTED_IDS = (
 )
 
 
+# observations past the table, in report order, by experiment
+MORE_KEYS = {
+    "delta-kills-density": ["witness_ones", "witness_banach"],
+    "positive-entropy-no-periodic": ["bohr_avoidance", "candidate_size"],
+}
+
+
 def test_experiment_ids():
     assert EXPERIMENT_IDS == EXPECTED_IDS
 
@@ -43,6 +50,8 @@ def test_experiment_consistent(exp_id):
     report = run_experiment(exp_id)
     assert report.experiment == exp_id
     assert report.verdict == "consistent"
+    assert list(report.observations) == ["table",
+                                         *MORE_KEYS.get(exp_id, []), "checks"]
     checks = report.observations["checks"]
     assert checks
     assert all(ok for _, ok in checks)
@@ -81,6 +90,19 @@ def test_squares_notes_record_deep_search_budget():
     assert report.verdict == "consistent"
     assert ("depth-5 search exhausted its budget after 101 nodes "
             "(reported, not asserted)") in report.notes
+
+
+def test_violation_report_lists_failed_checks_after_notes():
+    report = run_experiment("squares-zero-entropy", {"n_grid": [16, 8, 16]})
+    assert report.verdict == "violation"
+    assert report.notes == (
+        "depth-3 chain: [1, 10, 26]",
+        "depth-5 search outcome: none",
+        "failed check: h_n strictly decreases across the grid",
+        "failed check: omega/n strictly decreases across the grid")
+    assert list(report.observations) == ["table", "checks"]
+    assert [ok for _, ok in report.observations["checks"]] == [False, False,
+                                                               True]
 
 
 def test_run_all_order_and_verdicts():
